@@ -240,7 +240,13 @@ TreeShape ConcurrentMap::Shape() const {
 }
 
 Status ConcurrentMap::ValidateStructure() const {
-  return TreeChecker(tree_.get()).CheckStructure();
+  // The exact parent/child replay is only valid on a settled tree. The
+  // caller stops its own operations; background queue compression may
+  // still be mid-rearrangement, so hold it off for the check.
+  if (queue_ != nullptr) queue_->Pause();
+  const Status s = TreeChecker(tree_.get()).CheckStructure();
+  if (queue_ != nullptr) queue_->Resume();
+  return s;
 }
 
 }  // namespace obtree

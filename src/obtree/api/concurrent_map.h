@@ -191,7 +191,9 @@ class ConcurrentMap {
   /// (TreeShape::leaf_fill_pct).
   TreeShape Shape() const;
 
-  /// Full structural validation (quiescent only).
+  /// Full structural validation. Quiescent only: the caller must have
+  /// stopped its own operations; queue compression is paused (and its
+  /// in-flight tasks finished) for the duration of the check.
   Status ValidateStructure() const;
 
   /// Forward cursor over the map. Resumable across concurrent inserts,

@@ -673,10 +673,11 @@ void ShardedMap::PublishTable(std::unique_ptr<RoutingTable> next,
   if (!wait_grace) return;
   // Grace period: any operation that routed through an older table pinned
   // a Guard (and thus a clock value) BEFORE loading the table pointer.
-  // Advancing the clock now and waiting until every pin is newer therefore
-  // waits out every such operation; ops pinning after our Advance read the
-  // clock through the RMW chain and are guaranteed to observe the store
-  // above — they route through the new table and need no waiting.
+  // Advancing the clock now and waiting until every pin is at or above the
+  // fence therefore waits out every such operation. A pin ends with a
+  // seq_cst re-check of the clock; one that reads our Advance (or later)
+  // synchronizes with it and is guaranteed to observe the store above —
+  // it routes through the new table and needs no waiting.
   const Timestamp fence = table_epoch_.Advance();
   while (table_epoch_.MinActive() < fence) {
     std::this_thread::yield();

@@ -18,7 +18,7 @@ void CompressionQueue::Push(CompressionTask task, bool update_if_present) {
 
 bool CompressionQueue::Pop(CompressionTask* out) {
   std::lock_guard<std::mutex> l(mu_);
-  if (tasks_.empty()) return false;
+  if (tasks_.empty() || paused_ > 0) return false;
   auto best = tasks_.begin();
   for (auto it = tasks_.begin(); it != tasks_.end(); ++it) {
     if (it->second.level > best->second.level) best = it;
@@ -33,6 +33,18 @@ void CompressionQueue::FinishTask(Timestamp stamp) {
   std::lock_guard<std::mutex> l(mu_);
   auto it = in_flight_.find(stamp);
   if (it != in_flight_.end()) in_flight_.erase(it);
+  if (in_flight_.empty()) no_in_flight_.notify_all();
+}
+
+void CompressionQueue::Pause() {
+  std::unique_lock<std::mutex> l(mu_);
+  ++paused_;
+  no_in_flight_.wait(l, [this]() { return in_flight_.empty(); });
+}
+
+void CompressionQueue::Resume() {
+  std::lock_guard<std::mutex> l(mu_);
+  --paused_;
 }
 
 bool CompressionQueue::Remove(PageId node) {

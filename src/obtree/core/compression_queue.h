@@ -16,6 +16,7 @@
 #ifndef OBTREE_CORE_COMPRESSION_QUEUE_H_
 #define OBTREE_CORE_COMPRESSION_QUEUE_H_
 
+#include <condition_variable>
 #include <cstddef>
 #include <map>
 #include <mutex>
@@ -51,9 +52,16 @@ class CompressionQueue {
   void Push(CompressionTask task, bool update_if_present);
 
   /// Remove and return the queued task with the highest level (footnote
-  /// 17: compress parents before children). Returns false when empty.
-  /// The task's stamp remains accounted in MinStamp() until FinishTask.
+  /// 17: compress parents before children). Returns false when empty or
+  /// paused. The task's stamp remains accounted in MinStamp() until
+  /// FinishTask.
   bool Pop(CompressionTask* out);
+
+  /// Stop handing out tasks and wait until every popped task is finished,
+  /// so no compressor of this queue is mid-rearrangement until Resume().
+  /// Pauses nest. Structure validation uses it to see a settled tree.
+  void Pause();
+  void Resume();
 
   /// Declare that a popped task is no longer being worked on (its stack is
   /// dead). Must be called exactly once per successful Pop, after any
@@ -80,6 +88,8 @@ class CompressionQueue {
   mutable std::mutex mu_;
   std::map<PageId, CompressionTask> tasks_;
   std::multiset<Timestamp> in_flight_;
+  int paused_ = 0;
+  std::condition_variable no_in_flight_;  // signalled when in_flight_ empties
 };
 
 }  // namespace obtree

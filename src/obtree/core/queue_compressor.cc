@@ -103,6 +103,17 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
   // --- special case: F holds only the pointer to A ----------------------
   if (fn->count == 1) {
     const bool f_is_root = fn->is_root();
+    if (!f_is_root) {
+      // F is under-full and must be compressed first. Queue it while we
+      // hold its lock: if F's own record was dropped earlier, nothing
+      // else would, and A would be requeued forever.
+      std::vector<PageId> f_stack;
+      if (!task.stack.empty()) {
+        f_stack.assign(task.stack.begin(), task.stack.end() - 1);
+      }
+      EnqueueUnderfull(queue_, stats, f_page, *fn, std::move(f_stack),
+                       task.stamp);
+    }
     pager->Unlock(f_page);
     if (f_is_root) {
       // Root with a single child: try to shrink the tree.

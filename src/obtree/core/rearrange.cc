@@ -11,11 +11,6 @@
 
 namespace obtree {
 
-namespace {
-
-// Requeue an under-full survivor while its lock is held (§5.4: "the
-// current lock on A must be kept by the process until it puts A on the
-// queue"). `stack` is the root-to-parent path for the node.
 void EnqueueUnderfull(CompressionQueue* queue, StatsCollector* stats,
                       PageId page, const Node& node,
                       std::vector<PageId> stack, Timestamp stamp) {
@@ -28,8 +23,6 @@ void EnqueueUnderfull(CompressionQueue* queue, StatsCollector* stats,
   queue->Push(std::move(task), /*update_if_present=*/true);
   stats->Add(StatId::kQueueEnqueues);
 }
-
-}  // namespace
 
 RearrangeResult RearrangePair(SagivTree* tree, Page* f, PageId f_page,
                               uint32_t idx, Page* left, PageId left_page,

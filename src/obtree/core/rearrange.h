@@ -72,6 +72,13 @@ RearrangeResult RearrangePair(SagivTree* tree, Page* f, PageId f_page,
 /// of levels removed.
 size_t TryCollapseRoot(SagivTree* tree);
 
+/// Queue an under-full node while its lock is held (§5.4: "the current
+/// lock on A must be kept by the process until it puts A on the queue"),
+/// overwriting any older record. `stack` is the root-to-parent path.
+void EnqueueUnderfull(CompressionQueue* queue, StatsCollector* stats,
+                      PageId page, const Node& node,
+                      std::vector<PageId> stack, Timestamp stamp);
+
 }  // namespace obtree
 
 #endif  // OBTREE_CORE_REARRANGE_H_

@@ -2,6 +2,7 @@
 
 #include "obtree/storage/page_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -135,7 +136,7 @@ Result<PageId> PageManager::Allocate() {
     std::lock_guard<std::mutex> l(alloc_mu_);
     if (free_list_.empty()) {
       // Opportunistically harvest retired pages before growing the arena.
-      Timestamp min_active = epoch_->MinActive();
+      const Timestamp min_active = ReclaimHorizon();
       std::lock_guard<std::mutex> r(retired_mu_);
       while (!retired_.empty() && retired_.front().time < min_active) {
         free_list_.push_back(retired_.front().id);
@@ -277,15 +278,9 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   // The caller's paper lock excludes every Put/BeginWrite on this page;
   // only an in-flight reuse of a STALE page could hold the seq odd, and
   // the acquire discipline (validate as live under the lock first) rules
-  // that out. The CAS loop is defensive.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  // that out — except a concurrent fault-in of this page, which holds the
+  // seq odd for one store read (paged mode). Hence the wait.
+  TakeSeqOdd(slot);
   if (paged_) {
     // Defensive re-fault: the caller validated the page under its paper
     // lock (PeekLocked), which pins it against eviction from then on —
@@ -321,14 +316,7 @@ void PageManager::Put(PageId id, const Page& in) {
   Slot* slot = SlotFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  const uint64_t seq = TakeSeqOdd(slot);
   AtomicCopyIn(in.bytes, slot->page.bytes, kPageSize);
   // A put defines the page's full content: resident + dirty, no read.
   if (paged_) MarkResidentDirty(slot);
@@ -422,14 +410,17 @@ void PageManager::Unlock(PageId id) {
 int PageManager::LocksHeldByThisThread() { return tl_locks_held; }
 
 void PageManager::Retire(PageId id) {
-  const Timestamp t = epoch_->Advance();
+  // The only clock advance on the data path. The stamp is the value
+  // BEFORE it: a pin that reads the advanced clock started after the
+  // unlink, so the page is free once no pin at or below its stamp remains.
+  const Timestamp t = epoch_->Advance() - 1;
   std::lock_guard<std::mutex> l(retired_mu_);
   retired_.push_back(Retired{id, t});
   stats_->Add(StatId::kNodesRetired);
 }
 
 size_t PageManager::Reclaim() {
-  const Timestamp min_active = epoch_->MinActive();
+  const Timestamp min_active = ReclaimHorizon();
   size_t n = 0;
   std::lock_guard<std::mutex> a(alloc_mu_);
   std::lock_guard<std::mutex> l(retired_mu_);
@@ -440,6 +431,27 @@ size_t PageManager::Reclaim() {
   }
   if (n > 0) stats_->Add(StatId::kNodesReclaimed, n);
   return n;
+}
+
+Timestamp PageManager::ReclaimHorizon() const {
+  // A page retired after the scan below began may be held by a pin the
+  // scan missed; only retirements that advanced the clock before the scan
+  // (stamp < now) are judged by it.
+  const Timestamp now = epoch_->Now();
+  return std::min(now, epoch_->MinActive());
+}
+
+uint64_t PageManager::TakeSeqOdd(Slot* slot) {
+  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq & 1) {
+      PaperLock::CpuRelax();
+      seq = slot->seq.load(std::memory_order_relaxed);
+    } else if (slot->seq.compare_exchange_weak(seq, seq + 1,
+                                               std::memory_order_acq_rel)) {
+      return seq;
+    }
+  }
 }
 
 size_t PageManager::live_pages() const {
@@ -480,14 +492,7 @@ Status PageManager::FaultInSlot(PageId id, Slot* slot) const {
   // Take the slot's seqlock odd: the fault-in is then private — copy
   // readers wait, optimistic readers discard. Competing fault-ins on the
   // same page serialize here too.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  const uint64_t seq = TakeSeqOdd(slot);
   // Lost a fault-in race (another thread published while we CASed)?
   if (slot->state.load(std::memory_order_acquire) & kSlotResident) {
     slot->seq.store(seq, std::memory_order_release);  // content untouched

@@ -444,6 +444,15 @@ class PageManager {
 
   Slot* SlotFor(PageId id) const;
   void EnsureChunk(size_t chunk_index);
+
+  // Take the slot's seqlock odd (waiting out an odd holder, e.g. a
+  // concurrent fault-in) and return the even version it replaced.
+  static uint64_t TakeSeqOdd(Slot* slot);
+
+  // Clock value below which retired pages may be reused: the smaller of
+  // the clock read before the MinActive() scan and the scan itself.
+  Timestamp ReclaimHorizon() const;
+
   void MaybeSimulateIo() const;
 
   // --- buffer-pool internals (paged_ only) --------------------------------
@@ -508,7 +517,7 @@ class PageManager {
 
   std::atomic<uint64_t> simulated_io_ns_{0};
   std::atomic<uint32_t> lock_spin_budget_{64};
-  std::atomic<uint32_t> lock_backoff_max_{256};
+  std::atomic<uint32_t> lock_backoff_max_{16};
   std::atomic<int64_t> allocation_budget_{-1};  // <0 = unlimited
   std::atomic<bool> has_test_hook_{false};
   TestHook test_hook_;

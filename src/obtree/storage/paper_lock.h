@@ -117,13 +117,7 @@ class PaperLock {
     return state_.load(std::memory_order_relaxed) != kFree;
   }
 
- private:
-  // kFree -> kHeld on an uncontended acquire; any parked waiter promotes
-  // the held state to kHeldWaiters so Unlock knows a wake is needed.
-  static constexpr uint32_t kFree = 0;
-  static constexpr uint32_t kHeld = 1;
-  static constexpr uint32_t kHeldWaiters = 2;
-
+  /// One spin-wait hint (x86 `pause`, ~20 ns on current Xeons).
   static void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -133,6 +127,13 @@ class PaperLock {
     std::atomic_signal_fence(std::memory_order_seq_cst);
 #endif
   }
+
+ private:
+  // kFree -> kHeld on an uncontended acquire; any parked waiter promotes
+  // the held state to kHeldWaiters so Unlock knows a wake is needed.
+  static constexpr uint32_t kFree = 0;
+  static constexpr uint32_t kHeld = 1;
+  static constexpr uint32_t kHeldWaiters = 2;
 
   // Sleep while the state word equals `expected`. The kernel re-checks
   // the word under its internal lock, so a racing Unlock cannot lose the

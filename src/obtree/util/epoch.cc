@@ -3,74 +3,124 @@
 #include "obtree/util/epoch.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 namespace obtree {
 
-EpochManager::EpochManager() : clock_(1), slots_(kMaxSlots) {
-  // Thread the slots into a Treiber free list.
-  for (int i = 0; i < kMaxSlots - 1; ++i) {
-    slots_[static_cast<size_t>(i)].next_free.store(i + 1, std::memory_order_relaxed);
-  }
-  slots_[kMaxSlots - 1].next_free.store(-1, std::memory_order_relaxed);
-  free_head_.store(0, std::memory_order_release);
-}
+namespace epoch_internal {
 
-int EpochManager::AcquireSlot() {
-  for (;;) {
-    int head = free_head_.load(std::memory_order_acquire);
-    while (head >= 0) {
-      int next = slots_[static_cast<size_t>(head)].next_free.load(std::memory_order_relaxed);
-      if (free_head_.compare_exchange_weak(head, next,
-                                           std::memory_order_acq_rel)) {
-        return head;
-      }
+// Only the owning thread writes an entry. `owner` is stored before `start`,
+// so a scanner that reads a pinned `start` also sees the matching tag.
+struct PinEntry {
+  std::atomic<const EpochManager*> owner{nullptr};
+  std::atomic<Timestamp> start{kMaxTimestamp};  // kMaxTimestamp = free
+};
+
+}  // namespace epoch_internal
+
+namespace {
+
+using epoch_internal::PinEntry;
+
+struct alignas(64) PinRecord {
+  PinEntry entries[EpochManager::kPinsPerThread];
+  std::atomic<bool> claimed{false};
+};
+
+// The registry is allocated once and never freed: a scanner may read any
+// record at any time. Scans stop at the high-water mark of claimed indexes.
+PinRecord* Registry() {
+  static PinRecord* const records = new PinRecord[EpochManager::kMaxSlots];
+  return records;
+}
+std::atomic<int> registry_high_water{0};
+
+thread_local PinRecord* tl_record = nullptr;
+
+// Returns the thread's record to the registry when the thread exits.
+struct RecordLease {
+  ~RecordLease() {
+    for (const PinEntry& e : tl_record->entries) {
+      assert(e.start.load(std::memory_order_relaxed) == kMaxTimestamp);
+      (void)e;
     }
-    // All slots busy: extremely unlikely (kMaxSlots concurrent operations).
-    // Yield and retry rather than aborting.
+    tl_record->claimed.store(false, std::memory_order_release);
+    tl_record = nullptr;
+  }
+};
+
+PinRecord* ClaimRecord() {
+  PinRecord* records = Registry();
+  for (;;) {
+    for (int i = 0; i < EpochManager::kMaxSlots; ++i) {
+      bool expected = false;
+      if (records[i].claimed.load(std::memory_order_relaxed) ||
+          !records[i].claimed.compare_exchange_strong(
+              expected, true, std::memory_order_acq_rel)) {
+        continue;
+      }
+      // seq_cst, before the first pin: a scan that reads the old mark
+      // precedes every store this thread will make to the record.
+      int high = registry_high_water.load(std::memory_order_seq_cst);
+      while (high <= i && !registry_high_water.compare_exchange_weak(
+                              high, i + 1, std::memory_order_seq_cst)) {
+      }
+      tl_record = &records[i];
+      thread_local RecordLease lease;
+      return tl_record;
+    }
+    // Every record is held by a live thread: wait for one to exit.
     std::this_thread::yield();
   }
 }
 
-void EpochManager::ReleaseSlot(int slot) {
-  Slot& s = slots_[static_cast<size_t>(slot)];
-  s.start.store(kMaxTimestamp, std::memory_order_release);
-  int head = free_head_.load(std::memory_order_acquire);
+PinEntry* FreeEntry() {
+  PinRecord* rec = tl_record != nullptr ? tl_record : ClaimRecord();
+  for (PinEntry& e : rec->entries) {
+    if (e.start.load(std::memory_order_relaxed) == kMaxTimestamp) return &e;
+  }
+  std::fprintf(stderr, "obtree: more than %d epoch guards held by one thread\n",
+               EpochManager::kPinsPerThread);
+  std::abort();
+}
+
+}  // namespace
+
+EpochManager::EpochManager() : clock_(1) {}
+
+Timestamp EpochManager::Pin(PinEntry* entry) const {
+  Timestamp t = clock_.load(std::memory_order_relaxed);
   for (;;) {
-    s.next_free.store(head, std::memory_order_relaxed);
-    if (free_head_.compare_exchange_weak(head, slot,
-                                         std::memory_order_acq_rel)) {
-      return;
-    }
+    entry->start.store(t, std::memory_order_seq_cst);
+    const Timestamp now = clock_.load(std::memory_order_seq_cst);
+    if (now == t) return t;
+    t = now;  // a retirement slipped in: re-pin at the newer time
   }
 }
 
-EpochManager::Guard::Guard(EpochManager* mgr) : mgr_(mgr) {
-  slot_ = mgr_->AcquireSlot();
-  // Publish a conservative (old) value first so that the window between
-  // reading the clock and publishing it cannot let a concurrent reclaimer
-  // miss us, then refine to the unique start time. The slot value only
-  // moves forward, so the refinement is safe.
-  Slot& s = mgr_->slots_[static_cast<size_t>(slot_)];
-  s.start.store(mgr_->Now(), std::memory_order_seq_cst);
-  start_ = mgr_->Advance();
-  s.start.store(start_, std::memory_order_seq_cst);
+EpochManager::Guard::Guard(EpochManager* mgr)
+    : mgr_(mgr), entry_(FreeEntry()) {
+  entry_->owner.store(mgr_, std::memory_order_relaxed);
+  start_ = mgr_->Pin(entry_);
 }
 
-EpochManager::Guard::~Guard() { mgr_->ReleaseSlot(slot_); }
-
-void EpochManager::Guard::Refresh() {
-  Slot& s = mgr_->slots_[static_cast<size_t>(slot_)];
-  s.start.store(mgr_->Now(), std::memory_order_seq_cst);
-  start_ = mgr_->Advance();
-  s.start.store(start_, std::memory_order_seq_cst);
+EpochManager::Guard::~Guard() {
+  entry_->start.store(kMaxTimestamp, std::memory_order_release);
 }
+
+void EpochManager::Guard::Refresh() { start_ = mgr_->Pin(entry_); }
 
 Timestamp EpochManager::MinActive() const {
   Timestamp min = kMaxTimestamp;
-  for (const Slot& s : slots_) {
-    Timestamp t = s.start.load(std::memory_order_acquire);
-    if (t < min) min = t;
+  const PinRecord* records = Registry();
+  const int high = registry_high_water.load(std::memory_order_seq_cst);
+  for (int i = 0; i < high; ++i) {
+    for (const PinEntry& e : records[i].entries) {
+      const Timestamp t = e.start.load(std::memory_order_seq_cst);
+      if (t < min && e.owner.load(std::memory_order_relaxed) == this) min = t;
+    }
   }
   std::lock_guard<std::mutex> l(providers_mu_);
   for (const auto& p : providers_) {
@@ -88,8 +138,15 @@ void EpochManager::RegisterExternalMinProvider(
 
 int EpochManager::ActiveCount() const {
   int n = 0;
-  for (const Slot& s : slots_) {
-    if (s.start.load(std::memory_order_acquire) != kMaxTimestamp) ++n;
+  const PinRecord* records = Registry();
+  const int high = registry_high_water.load(std::memory_order_acquire);
+  for (int i = 0; i < high; ++i) {
+    for (const PinEntry& e : records[i].entries) {
+      if (e.start.load(std::memory_order_acquire) != kMaxTimestamp &&
+          e.owner.load(std::memory_order_relaxed) == this) {
+        ++n;
+      }
+    }
   }
   return n;
 }

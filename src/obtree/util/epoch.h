@@ -9,11 +9,30 @@
 //    are on the queue (or queues) have only time stamps that are younger
 //    than t."
 //
-// EpochManager maintains a logical clock. Every logical operation pins its
-// start time in a slot for its duration (Guard). Deleted pages are retired
-// with the clock value at deletion time and may be reused only once
-// MinActive() exceeds that value. Compression queues register an external
-// min-timestamp provider so their stored stacks also hold back reclamation.
+// EpochManager maintains a logical clock. Retirement is the only thing that
+// advances it on the data path: PageManager::Retire stamps a deleted page
+// with the clock value *before* its advance, and the page may be reused once
+// MinActive() exceeds that stamp. Every logical operation pins its start
+// time for its duration (Guard). A pin is a clock load, a seq_cst store to
+// an entry on the calling thread's own cache line, and a re-check of the
+// clock; it performs no shared read-modify-write. Start times are therefore
+// not unique: operations that start between two retirements share one.
+//
+// Pin entries live in a process-wide registry of per-thread records. A
+// thread claims a record the first time it pins (on any manager) and
+// releases it when it exits; each Guard takes a free entry in its thread's
+// record and tags it with its manager. MinActive() and ActiveCount() scan
+// the claimed records for entries tagged with `this`. Compression queues
+// register an external min-timestamp provider so their stored stacks also
+// hold back reclamation.
+//
+// Why the re-check suffices: a scan that misses a pin's store precedes that
+// store in the seq_cst order, so the pin's re-check follows every retirement
+// whose advance preceded the scan and reads the advanced clock. The pin then
+// moves to the new value and cannot see those pages (each was unlinked
+// before its advance). A reclaimer therefore judges only retirements
+// stamped below a clock value it read before the scan (PageManager's
+// reclaim horizon).
 
 #ifndef OBTREE_UTIL_EPOCH_H_
 #define OBTREE_UTIL_EPOCH_H_
@@ -28,25 +47,36 @@
 
 namespace obtree {
 
+namespace epoch_internal {
+struct PinEntry;  // one pin in a thread's record (defined in epoch.cc)
+}  // namespace epoch_internal
+
 /// Logical clock + active-operation registry.
 class EpochManager {
  public:
+  /// Capacity of the process-wide pin registry, in thread records: at most
+  /// this many threads hold pins at once (a further thread waits for one
+  /// to exit).
   static constexpr int kMaxSlots = 512;
+  /// Guards one thread may hold at once, across all managers. Exceeding it
+  /// is a programming error and aborts.
+  static constexpr int kPinsPerThread = 8;
 
   EpochManager();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(EpochManager);
 
   /// Current logical time.
-  Timestamp Now() const { return clock_.load(std::memory_order_acquire); }
+  Timestamp Now() const { return clock_.load(std::memory_order_seq_cst); }
 
   /// Advance the clock and return the new (unique, increasing) time. Used
-  /// to stamp deletions and operation starts.
+  /// to stamp retirements and grace-period fences.
   Timestamp Advance() {
-    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    return clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 
   /// RAII pin of an operation's start time. While a Guard lives, no page
-  /// retired at or after its start time is reclaimed.
+  /// retired at or after its start time is reclaimed. A Guard must be
+  /// released on the thread that created it.
   class Guard {
    public:
     explicit Guard(EpochManager* mgr);
@@ -62,7 +92,7 @@ class EpochManager {
 
    private:
     EpochManager* mgr_;
-    int slot_;
+    epoch_internal::PinEntry* entry_;
     Timestamp start_;
   };
 
@@ -80,19 +110,11 @@ class EpochManager {
   int ActiveCount() const;
 
  private:
-  friend class Guard;
-
-  int AcquireSlot();
-  void ReleaseSlot(int slot);
-
-  struct alignas(64) Slot {
-    std::atomic<Timestamp> start{kMaxTimestamp};
-    std::atomic<int> next_free{-1};
-  };
+  // Publish a start time in `entry` (store, then clock re-check until the
+  // two agree) and return it.
+  Timestamp Pin(epoch_internal::PinEntry* entry) const;
 
   std::atomic<Timestamp> clock_;
-  std::vector<Slot> slots_;
-  std::atomic<int> free_head_;
 
   mutable std::mutex providers_mu_;
   std::vector<std::function<Timestamp()>> providers_;

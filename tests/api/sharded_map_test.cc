@@ -333,7 +333,7 @@ TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {
   // The headline scaling property: background maintenance threads stay at
   // pool_threads no matter how many shards exist. 16 shards x 1 worker
   // would be 16 threads in the old topology; the shared pool runs 4.
-  const int baseline = LiveThreadCount();
+  const int baseline = testutil::SettledLiveThreadCount();
   {
     ShardOptions opt =
         SmallShards(16, 16'000, CompressionMode::kQueueWorkers);
@@ -382,7 +382,7 @@ TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {
   }
   // Shards detached and the pool joined its workers on destruction.
   if (baseline > 0) {
-    EXPECT_EQ(LiveThreadCount(), baseline);
+    EXPECT_EQ(testutil::WaitForLiveThreadCount(baseline), baseline);
   }
 }
 

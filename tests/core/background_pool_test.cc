@@ -93,7 +93,7 @@ TEST(BackgroundPoolTest, DefaultThreadCountRespectsEnv) {
 }
 
 TEST(BackgroundPoolTest, DrainsManyShardsWithFewThreads) {
-  const int baseline = LiveThreadCount();
+  const int baseline = testutil::SettledLiveThreadCount();
   {
     std::vector<std::unique_ptr<Shard>> shards;
     for (int i = 0; i < 6; ++i) shards.push_back(std::make_unique<Shard>());
@@ -140,7 +140,7 @@ TEST(BackgroundPoolTest, DrainsManyShardsWithFewThreads) {
   }
   // Every pool worker joined when the pool died.
   if (baseline > 0) {
-    EXPECT_EQ(LiveThreadCount(), baseline);
+    EXPECT_EQ(testutil::WaitForLiveThreadCount(baseline), baseline);
   }
 }
 
@@ -206,7 +206,7 @@ TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
 }
 
 TEST(BackgroundPoolTest, StopWhileBusyJoinsPromptly) {
-  const int baseline = LiveThreadCount();
+  const int baseline = testutil::SettledLiveThreadCount();
   Shard shard;
   Churn(&shard, 1, 3000);  // plenty of queued work
   ASSERT_FALSE(shard.queue->Empty());
@@ -222,7 +222,7 @@ TEST(BackgroundPoolTest, StopWhileBusyJoinsPromptly) {
   const auto elapsed = steady_clock::now() - begin;
   EXPECT_LT(elapsed, milliseconds(5'000));
   if (baseline > 0) {
-    EXPECT_EQ(LiveThreadCount(), baseline);
+    EXPECT_EQ(testutil::WaitForLiveThreadCount(baseline), baseline);
   }
   pool.Stop();  // idempotent
   // Detach after Stop still works (shards outlive a stopped pool).

@@ -7,11 +7,18 @@
 #include "obtree/storage/page_manager.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obtree/storage/file_store.h"
 
 namespace obtree {
 namespace {
@@ -427,6 +434,69 @@ TEST_F(PageManagerTest, ReadersNeverSeeTornPages) {
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_FALSE(torn.load());
+}
+
+// Regression for a FileStore livelock: a fault-in (or in-place write) that
+// met another thread's fault-in of the same page read the odd seqlock
+// version once and then spun on that stale value forever. Four readers
+// fault in the same evicted pages through a one-page pool, under a
+// deadline.
+TEST(PageManagerFileStoreTest, ConcurrentFaultInsOfSamePagesFinish) {
+  const std::string dir = ::testing::TempDir() + "obtree_pm_fault_in";
+  std::filesystem::remove_all(dir);
+  auto store = FileStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, store->get(), /*buffer_pool_pages=*/1);
+  constexpr int kPages = 4;
+  std::vector<PageId> ids;
+  for (int i = 0; i < kPages; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    Page w;
+    std::memset(w.bytes, i + 1, kPageSize);
+    pm.Put(*id, w);
+    ids.push_back(*id);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  std::atomic<int> finished{0};
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&]() {
+      Page r;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kPages; ++i) {
+          const uint8_t want = static_cast<uint8_t>(i + 1);
+          if (!pm.Get(ids[static_cast<size_t>(i)], &r).ok() ||
+              r.bytes[0] != want || r.bytes[kPageSize - 1] != want) {
+            wrong.store(true);
+          }
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kThreads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (finished.load() < kThreads) {
+    // The stuck readers cannot be joined: report and leave.
+    ADD_FAILURE() << kThreads - finished.load()
+                  << " readers still faulting in after 60 s (livelock)";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_FALSE(wrong.load());
+  EXPECT_GT(stats.Get(StatId::kStoreReads), static_cast<uint64_t>(kPages));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

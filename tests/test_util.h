@@ -48,6 +48,33 @@ inline int LiveThreadCount() {
   return -1;
 }
 
+/// Polls LiveThreadCount() for up to ~2 s until it equals `expected` and
+/// returns the last count. A joined thread stays in /proc/self/status
+/// until the kernel reaps it, so an immediate read after join can still
+/// count it.
+inline int WaitForLiveThreadCount(int expected) {
+  int count = LiveThreadCount();
+  for (int i = 0; i < 2000 && count != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = LiveThreadCount();
+  }
+  return count;
+}
+
+/// LiveThreadCount() once it has held still for ~10 ms (at most ~2 s): a
+/// baseline for the checks above, which threads joined by an earlier test
+/// but not yet reaped would otherwise inflate.
+inline int SettledLiveThreadCount() {
+  int count = LiveThreadCount();
+  for (int stable = 0, i = 0; stable < 10 && i < 2000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int now = LiveThreadCount();
+    stable = now == count ? stable + 1 : 0;
+    count = now;
+  }
+  return count;
+}
+
 }  // namespace testutil
 }  // namespace obtree
 

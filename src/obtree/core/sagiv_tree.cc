@@ -19,94 +19,35 @@ namespace {
 // instead of a hang.
 constexpr int kMaxStepsPerAttempt = 1 << 22;
 
-// Where an unlocked descent proceeds from one node, as decided from an
-// optimistic (unvalidated) in-place image. kTorn marks an image too
-// inconsistent to classify (e.g. ChildFor fell off the entries): the
-// reader re-reads the node instead of acting. It is also the default so
-// an unstable guard (put in flight) takes the same re-read path.
-struct Route {
-  enum Kind {
-    kArrived,               // node is the live target: level + range match
-    kChild,                 // descend into `next`
-    kLink,                  // moveright through `next`
-    kMerge,                 // deleted node: recover through merge pointer
-    kRestartStale,          // wrong node (level/low): restart from the root
-    kRestartRightmost,      // nil link but key > high: restart
-    kRestartNoMergeTarget,  // deleted, merge pointer not posted: restart
-    kTorn,                  // image inconsistent: re-read this node
-  } kind = kTorn;
-  PageId next = kInvalidPageId;
-};
+// §5.2 backtracks allowed per descent attempt before a wrong node costs a
+// restart from the root.
+constexpr int kMaxBacktracksPerAttempt = 4;
 
-// The paper's next(A, v) evaluated on a possibly-torn image. Reads only
-// header words (plus one binary search for the child case) and never
-// chases a pointer itself; the caller validates the page version before
-// following `next` anywhere.
-Route RouteForKey(const NodeView& view, Key key, uint32_t target_level) {
-  Route r;
-  if (view.is_deleted()) {
-    const PageId target = view.merge_target();
-    if (target == kInvalidPageId) {
-      r.kind = Route::kRestartNoMergeTarget;
-    } else {
-      r.kind = Route::kMerge;
-      r.next = target;
-    }
-    return r;
-  }
-  if (view.level() < target_level || key <= view.low()) {
-    r.kind = Route::kRestartStale;
-    return r;
-  }
-  if (key > view.high()) {
-    const PageId link = view.link();
-    if (link == kInvalidPageId) {
-      r.kind = Route::kRestartRightmost;
-    } else {
-      r.kind = Route::kLink;
-      r.next = link;
-    }
-    return r;
-  }
-  if (view.level() == target_level) {
-    r.kind = Route::kArrived;
-    return r;
-  }
-  const PageId child = view.ChildFor(key);
-  if (child == kInvalidPageId) {
-    r.kind = Route::kTorn;  // count ran out mid-rewrite
-    return r;
-  }
-  r.kind = Route::kChild;
-  r.next = child;
-  return r;
+// The status of an operation result, for the read-policy fallback test.
+const Status& StatusOf(const Status& s) { return s; }
+template <class T>
+const Status& StatusOf(const Result<T>& r) {
+  return r.status();
 }
 
-// The restart cause a Route restart kind charges (shared by the three
-// route dispatchers: the optimistic descents and the in-place acquire).
-SagivTree::RestartCause CauseFor(Route::Kind kind) {
-  switch (kind) {
-    case Route::kRestartStale:
-      return SagivTree::RestartCause::kStaleNode;
-    case Route::kRestartRightmost:
-      return SagivTree::RestartCause::kRightmostStale;
-    case Route::kRestartNoMergeTarget:
-      return SagivTree::RestartCause::kMissingMergeTarget;
-    default:
-      return SagivTree::RestartCause::kNone;
-  }
-}
-
-// Per-thread scratch shared by the read paths: the optimistic scan's
-// harvest buffer and the copy fallback's page image. One instance per
+// Per-thread scratch of the scan: its harvest buffer. One instance per
 // thread instead of per call; the in_use flag hands reentrant calls (a
 // visitor that scans the same tree) a local buffer instead.
 struct TlReadBuffers {
-  Page page;
   std::vector<Entry> entries;
   bool in_use = false;
 };
 thread_local TlReadBuffers tl_read_buffers;
+
+// The copy read policy's page image, one per thread (a fresh 4 KB page per
+// call costs a cache-cold write-back, and a page in the caller's frame
+// moves its other locals). An image lives only from its read to the end
+// of that routing step (Descend keeps nothing of it), so reentrant reads —
+// a scan visitor that searches — may share it. Page-aligned: a copy
+// stalls on false 4 KB store-load aliasing when its destination sits just
+// above its source modulo 4 KB, and a fixed destination offset makes that
+// depend only on the source slot, not on the caller's stack depth.
+alignas(kPageSize) thread_local Page tl_copy_page;
 
 // Claims the thread-local buffers for the current call if free.
 class TlReadBuffersLease {
@@ -267,8 +208,244 @@ void SagivTree::AttachCompressionQueue(CompressionQueue* queue) {
 }
 
 // ---------------------------------------------------------------------------
-// Descending
+// The descent kernel
 // ---------------------------------------------------------------------------
+
+// Where a descent proceeds from one node, as classified from a node image.
+// kTorn marks an image too inconsistent to classify (e.g. ChildFor fell
+// off the entries): the reader re-reads the node instead of acting. It is
+// also the default so an unstable guard (put in flight) takes the same
+// re-read path.
+struct SagivTree::Route {
+  enum Kind {
+    kArrived,               // node is the live target: level + range match
+    kChild,                 // descend into `next`
+    kLink,                  // moveright through `next`
+    kMerge,                 // deleted node: recover through merge pointer
+    kRestartStale,          // wrong node (level/low): restart from the root
+    kRestartRightmost,      // nil link but key > high: restart
+    kRestartNoMergeTarget,  // deleted, merge pointer not posted: restart
+    kTorn,                  // image inconsistent: re-read this node
+  } kind = kTorn;
+  PageId next = kInvalidPageId;
+};
+
+SagivTree::Route SagivTree::RouteForKey(const NodeView& view, Key key,
+                                        uint32_t target_level) {
+  Route r;
+  if (view.is_deleted()) {
+    const PageId target = view.merge_target();
+    if (target == kInvalidPageId) {
+      r.kind = Route::kRestartNoMergeTarget;
+    } else {
+      r.kind = Route::kMerge;
+      r.next = target;
+    }
+    return r;
+  }
+  if (view.level() < target_level || key <= view.low()) {
+    r.kind = Route::kRestartStale;
+    return r;
+  }
+  if (key > view.high()) {
+    const PageId link = view.link();
+    if (link == kInvalidPageId) {
+      r.kind = Route::kRestartRightmost;
+    } else {
+      r.kind = Route::kLink;
+      r.next = link;
+    }
+    return r;
+  }
+  if (view.level() == target_level) {
+    r.kind = Route::kArrived;
+    return r;
+  }
+  const PageId child = view.ChildFor(key);
+  if (child == kInvalidPageId) {
+    r.kind = Route::kTorn;  // count ran out mid-rewrite
+    return r;
+  }
+  r.kind = Route::kChild;
+  r.next = child;
+  return r;
+}
+
+inline SagivTree::Step SagivTree::ApplyRoute(const Route& route,
+                                             bool validated,
+                                             Descent* d) const {
+  if (route.kind == Route::kTorn) {
+    // Nothing read may be trusted: re-read the same node, within budget.
+    stats_->Add(StatId::kOptimisticRetries);
+    if (++d->failures > options_.optimistic_retry_limit) return Step::kAborted;
+    return Step::kMoved;
+  }
+  if (validated) stats_->Add(StatId::kOptimisticValidations);
+  if (++d->steps > kMaxStepsPerAttempt) return Step::kExhausted;
+  StatId cause = StatId::kRestartsRightmostStale;
+  switch (route.kind) {
+    case Route::kArrived:
+      return Step::kArrived;
+    case Route::kChild:
+    case Route::kLink:
+      // movedown stacks the node it leaves; either edge is a backtrack
+      // point for the node it leads to.
+      d->previous_pushed = route.kind == Route::kChild && d->stack != nullptr;
+      if (d->previous_pushed) d->stack->push_back(d->current);
+      if (route.kind == Route::kLink) stats_->Add(StatId::kLinkFollows);
+      d->previous = d->current;
+      d->current = route.next;
+      return Step::kMoved;
+    case Route::kMerge:
+      stats_->Add(StatId::kMergePointerFollows);
+      d->current = route.next;
+      return Step::kMoved;
+    case Route::kRestartStale:
+    case Route::kRestartNoMergeTarget:
+      // §5.2 backtrack: a wrong node (data moved left, or a deleted node
+      // whose merge pointer is not posted yet) is first retried from the
+      // node we came through, which re-evaluates next(A, v) against its
+      // fresh contents; only if that keeps routing us wrong do we restart
+      // at the root.
+      if (d->previous != kInvalidPageId &&
+          d->backtracks < kMaxBacktracksPerAttempt) {
+        ++d->backtracks;
+        stats_->Add(StatId::kBacktracks);
+        if (d->previous_pushed) d->stack->pop_back();
+        d->current = d->previous;
+        d->previous = kInvalidPageId;
+        return Step::kMoved;
+      }
+      cause = route.kind == Route::kRestartStale
+                  ? StatId::kRestartsStaleNode
+                  : StatId::kRestartsMissingMergeTarget;
+      break;
+    case Route::kRestartRightmost:
+    case Route::kTorn:
+      break;
+  }
+  stats_->Add(StatId::kRestarts);
+  stats_->Add(cause);
+  if (++d->restarts > options_.max_restarts) return Step::kExhausted;
+  d->current = kInvalidPageId;
+  return Step::kRestart;
+}
+
+Status SagivTree::StepError(Step step) {
+  return step == Step::kAborted
+             ? Status::Aborted("optimistic retry budget exhausted")
+             : Status::Internal("descent exceeded its restart or step budget");
+}
+
+// Page-access policy: the live page, read in place under a seqlock version
+// that Validate() re-checks. Moves no page bytes.
+class SagivTree::InPlaceRead {
+ public:
+  static constexpr bool kValidated = true;
+  using Image = PageManager::ReadGuard;
+  explicit InPlaceRead(const SagivTree* tree) : pager_(tree->pager_.get()) {}
+  // Never fails: a failed read surfaces as an unstable guard (a torn
+  // route).
+  bool Read(PageId id, Image* image, Status* /*error*/) const {
+    *image = pager_->OptimisticRead(id);
+    return true;
+  }
+
+ private:
+  const PageManager* pager_;
+};
+
+// Page-access policy: a private copy of the page (one 4 KB Get, with
+// FetchPage's retries). A copy is always consistent, so it needs no
+// validation. The copy lands in this thread's tl_copy_page.
+class SagivTree::CopyRead {
+ public:
+  static constexpr bool kValidated = false;
+  struct Image {
+    const Page* copy = nullptr;
+    bool stable() const { return true; }
+    const Page* page() const { return copy; }
+    bool Validate() const { return true; }
+  };
+  explicit CopyRead(const SagivTree* tree) : tree_(tree) {}
+  bool Read(PageId id, Image* image, Status* error) const {
+    image->copy = &tl_copy_page;
+    *error = tree_->FetchPage(id, &tl_copy_page);
+    return error->ok();
+  }
+
+ private:
+  const SagivTree* tree_;
+};
+
+template <class Access, class Probe>
+Status SagivTree::Descend(Access* access, Descent* d, bool wait_for_level,
+                          EpochManager::Guard* guard,
+                          const Probe& probe) const {
+  int waits = 0;
+  Status error;
+  for (;;) {
+    if (d->current == kInvalidPageId) {
+      const PrimeBlockData pb = prime_.Read();
+      if (pb.num_levels <= d->level) {
+        if (!wait_for_level) return Status::NotFound("level does not exist");
+        // Section 3.3: a split outran the creation of the level it must
+        // post to (or the level was collapsed and will be regrown by a
+        // pending insertion). Wait for the prime block to show the level.
+        if (++waits > options_.max_restarts) {
+          return Status::Internal("level never appeared");
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      d->Reseed(pb.root());
+    }
+    // The image is a local of this loop, never the policy's state: that
+    // keeps the per-node read in registers on the hot path.
+    typename Access::Image image;
+    if (!access->Read(d->current, &image, &error)) return error;
+    Route route;  // kTorn: also the unstable-guard case
+    if (image.stable()) {
+      const NodeView view(image.page()->template As<Node>());
+      route = RouteForKey(view, d->key, d->level);
+      // Probe the target under the same version as the routing decision:
+      // one validation covers both.
+      if (route.kind == Route::kArrived) probe(view);
+      // Nothing read above may be trusted until the version validates; in
+      // particular route.next is followed only on a clean check.
+      if (route.kind != Route::kTorn && !image.Validate()) {
+        route.kind = Route::kTorn;
+      }
+    }
+    const Step step = ApplyRoute(route, Access::kValidated, d);
+    switch (step) {
+      case Step::kArrived:
+        return Status::OK();
+      case Step::kAborted:
+      case Step::kExhausted:
+        return StepError(step);
+      case Step::kRestart:
+        // Re-pin: a restarted search may legally observe a fresher tree,
+        // and releasing the old pin lets reclamation advance (§5.3).
+        if (guard != nullptr) guard->Refresh();
+        break;
+      case Step::kMoved:
+        break;
+    }
+  }
+}
+
+template <class Op>
+auto SagivTree::WithReadPolicy(const Op& op) const {
+  if (options_.optimistic_reads) {
+    InPlaceRead in_place(this);
+    auto r = op(&in_place);
+    if (!StatusOf(r).IsAborted()) return r;
+    stats_->Add(StatId::kOptimisticFallbacks);
+  }
+  CopyRead copy(this);
+  return op(&copy);
+}
 
 Status SagivTree::FetchPage(PageId id, Page* out) const {
   Status s = pager_->Get(id, out);
@@ -292,262 +469,19 @@ Status SagivTree::FetchPage(PageId id, Page* out) const {
   return s;
 }
 
-void SagivTree::CountRestart(RestartCause cause) const {
-  stats_->Add(StatId::kRestarts);
-  switch (cause) {
-    case RestartCause::kStaleNode:
-      stats_->Add(StatId::kRestartsStaleNode);
-      break;
-    case RestartCause::kRightmostStale:
-      stats_->Add(StatId::kRestartsRightmostStale);
-      break;
-    case RestartCause::kMissingMergeTarget:
-      stats_->Add(StatId::kRestartsMissingMergeTarget);
-      break;
-    case RestartCause::kNone:
-      break;
-  }
-}
-
 Result<PageId> SagivTree::internal_FindNodeAtLevel(
     Key key, uint32_t level, std::vector<PageId>* stack_out,
     bool wait_for_level) const {
-  if (options_.optimistic_reads) {
-    int failures = 0;
-    Result<PageId> r = OptimisticFindNodeAtLevel(key, level, stack_out,
-                                                 wait_for_level, &failures);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyFindNodeAtLevel(key, level, stack_out, wait_for_level);
-}
-
-Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
-    Key key, uint32_t level, std::vector<PageId>* stack_out,
-    bool wait_for_level, int* failures) const {
-  int restarts = 0;
-  int waits = 0;
-  for (;;) {
-    if (stack_out) stack_out->clear();
-    const PrimeBlockData pb = prime_.Read();
-    if (pb.num_levels <= level) {
-      if (!wait_for_level) {
-        return Status::NotFound("level does not exist");
-      }
-      // Section 3.3: a split outran the creation of the level it must post
-      // to (or the level was collapsed and will be regrown by a pending
-      // insertion). Wait for the prime block to show the level.
-      if (++waits > options_.max_restarts) {
-        return Status::Internal("level never appeared");
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    PageId current = pb.root();
-    RestartCause cause = RestartCause::kNone;
-    bool restart = false;
-    for (int steps = 0; !restart; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
-      Route route;  // defaults to kTorn for the unstable-guard case
-      if (g.stable()) {
-        route = RouteForKey(NodeView(g.page()->As<Node>()), key, level);
-        // Nothing read above may be trusted until the version validates;
-        // in particular route.next is followed only on a clean check.
-        if (route.kind != Route::kTorn && !g.Validate()) {
-          route.kind = Route::kTorn;
-        }
-      }
-      if (route.kind == Route::kTorn) {
-        stats_->Add(StatId::kOptimisticRetries);
-        if (++(*failures) > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
-        continue;  // re-read the same node
-      }
-      stats_->Add(StatId::kOptimisticValidations);
-      switch (route.kind) {
-        case Route::kArrived:
-          return current;
-        case Route::kChild:
-          if (stack_out) stack_out->push_back(current);
-          current = route.next;
-          break;
-        case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = route.next;
-          break;
-        case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = route.next;
-          break;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget:
-          cause = CauseFor(route.kind);
-          restart = true;
-          break;
-        case Route::kTorn:
-          break;  // handled above
-      }
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in FindNodeAtLevel");
-    }
-  }
-}
-
-Result<PageId> SagivTree::CopyFindNodeAtLevel(Key key, uint32_t level,
-                                              std::vector<PageId>* stack_out,
-                                              bool wait_for_level) const {
-  int restarts = 0;
-  int waits = 0;
-  for (;;) {
-    if (stack_out) stack_out->clear();
-    const PrimeBlockData pb = prime_.Read();
-    if (pb.num_levels <= level) {
-      if (!wait_for_level) {
-        return Status::NotFound("level does not exist");
-      }
-      // Section 3.3: a split outran the creation of the level it must post
-      // to (or the level was collapsed and will be regrown by a pending
-      // insertion). Wait for the prime block to show the level.
-      if (++waits > options_.max_restarts) {
-        return Status::Internal("level never appeared");
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    PageId current = pb.root();
-    Page page;
-    Node* node = page.As<Node>();
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, &page);
-      if (!gs.ok()) return gs;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target == kInvalidPageId) {
-          cause = RestartCause::kMissingMergeTarget;
-          break;
-        }
-        stats_->Add(StatId::kMergePointerFollows);
-        current = target;
-        continue;
-      }
-      if (node->level < level || key <= node->low) {
-        // Wrong node: either a reclaimed-and-reused page (stale pointer) or
-        // data moved left by a compression (Section 5.2 case (2)).
-        cause = RestartCause::kStaleNode;
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;  // stale rightmost node
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        current = link;
-        continue;
-      }
-      if (node->level == level) return current;
-      if (stack_out) stack_out->push_back(current);
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in FindNodeAtLevel");
-    }
-  }
-}
-
-Status SagivTree::DescendToLeaf(Key key, EpochManager::Guard* guard,
-                                Page* page, PageId* leaf_page) const {
-  Node* node = page->As<Node>();
-  int restarts = 0;
-  for (;;) {
-    const PrimeBlockData pb = prime_.Read();
-    PageId current = pb.root();
-    // §5.2 backtrack optimization: remember the node we came down
-    // through; a search routed to a wrong node first retries from there
-    // and only restarts at the root if the previous node is also wrong.
-    PageId previous = kInvalidPageId;
-    bool backtracked = false;
-    int backtracks_this_attempt = 0;
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, page);
-      if (!gs.ok()) return gs;
-      bool wrong = false;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target != kInvalidPageId) {
-          stats_->Add(StatId::kMergePointerFollows);
-          current = target;
-          continue;
-        }
-        cause = RestartCause::kMissingMergeTarget;
-        wrong = true;
-      } else if (key <= node->low) {
-        cause = RestartCause::kStaleNode;
-        wrong = true;
-      }
-      if (wrong) {
-        if (previous != kInvalidPageId && !backtracked &&
-            ++backtracks_this_attempt <= 4) {
-          // One backtrack per wrong-node event, a few per descent: the
-          // previous node re-evaluates next(A, v) against fresh contents;
-          // if it keeps routing us wrong, fall back to a root restart.
-          stats_->Add(StatId::kBacktracks);
-          current = previous;
-          previous = kInvalidPageId;
-          backtracked = true;
-          continue;
-        }
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        previous = current;
-        backtracked = false;
-        current = link;
-        continue;
-      }
-      if (node->is_leaf()) {
-        *leaf_page = current;
-        return Status::OK();
-      }
-      previous = current;
-      backtracked = false;
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in search");
-    }
-    // Re-pin: a restarted search may legally observe a fresher tree, and
-    // releasing the old pin lets reclamation advance (Section 5.3).
-    guard->Refresh();
-  }
+  return WithReadPolicy([&](auto* access) {
+    Descent d(key, level, stack_out);
+    Status s = Descend(access, &d, wait_for_level, /*guard=*/nullptr,
+                       [](const NodeView&) {});
+    return s.ok() ? Result<PageId>(d.current) : Result<PageId>(std::move(s));
+  });
 }
 
 // ---------------------------------------------------------------------------
-// Search
+// Search and Scan
 // ---------------------------------------------------------------------------
 
 Result<Value> SagivTree::Search(Key key) const {
@@ -556,87 +490,21 @@ Result<Value> SagivTree::Search(Key key) const {
   }
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
-  if (options_.optimistic_reads) {
-    Result<Value> r = OptimisticSearch(key, &guard);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  Page page;
-  PageId leaf_page;
-  Status s = DescendToLeaf(key, &guard, &page, &leaf_page);
-  if (!s.ok()) return s;
-  std::optional<Value> v = page.As<Node>()->FindLeafValue(key);
-  if (!v.has_value()) return Status::NotFound();
-  return *v;
+  return WithReadPolicy(
+      [&](auto* access) { return SearchLeaf(access, key, &guard); });
 }
 
-Result<Value> SagivTree::OptimisticSearch(Key key,
-                                          EpochManager::Guard* guard) const {
-  int failures = 0;
-  int restarts = 0;
-  for (;;) {
-    const PrimeBlockData pb = prime_.Read();
-    PageId current = pb.root();
-    RestartCause cause = RestartCause::kNone;
-    bool restart = false;
-    for (int steps = 0; !restart; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
-      Route route;  // defaults to kTorn for the unstable-guard case
-      std::optional<Value> value;
-      if (g.stable()) {
-        const NodeView view(g.page()->As<Node>());
-        route = RouteForKey(view, key, /*target_level=*/0);
-        // Probe the leaf slot under the same version as the routing
-        // decision: one validation covers both.
-        if (route.kind == Route::kArrived) value = view.FindLeafValue(key);
-        if (route.kind != Route::kTorn && !g.Validate()) {
-          route.kind = Route::kTorn;
-        }
-      }
-      if (route.kind == Route::kTorn) {
-        stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
-        continue;  // re-read the same node
-      }
-      stats_->Add(StatId::kOptimisticValidations);
-      switch (route.kind) {
-        case Route::kArrived:
-          if (!value.has_value()) return Status::NotFound();
-          return *value;
-        case Route::kChild:
-          current = route.next;
-          break;
-        case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = route.next;
-          break;
-        case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = route.next;
-          break;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget:
-          cause = CauseFor(route.kind);
-          restart = true;
-          break;
-        case Route::kTorn:
-          break;  // handled above
-      }
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in search");
-    }
-    // Re-pin: a restarted search may legally observe a fresher tree, and
-    // releasing the old pin lets reclamation advance (Section 5.3).
-    guard->Refresh();
-  }
+template <class Access>
+Result<Value> SagivTree::SearchLeaf(Access* access, Key key,
+                                    EpochManager::Guard* guard) const {
+  Descent d(key, /*level=*/0, /*stack=*/nullptr);
+  std::optional<Value> value;
+  Status s =
+      Descend(access, &d, /*wait_for_level=*/true, guard,
+              [&](const NodeView& view) { value = view.FindLeafValue(key); });
+  if (!s.ok()) return s;
+  if (!value.has_value()) return Status::NotFound();
+  return *value;
 }
 
 size_t SagivTree::Scan(Key lo, Key hi,
@@ -647,360 +515,223 @@ size_t SagivTree::Scan(Key lo, Key hi,
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
 
-  size_t visited = 0;
-  Key next_key = lo;
-  if (options_.optimistic_reads) {
-    Status s = OptimisticScan(&next_key, hi, visitor, &guard, &visited);
-    if (!s.IsAborted()) return visited;  // done (or stopped / gave up)
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyScan(next_key, hi, visitor, &guard, visited);
-}
-
-Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
-                                 const std::function<bool(Key, Value)>& visitor,
-                                 EpochManager::Guard* guard,
-                                 size_t* visited) const {
-  int failures = 0;
-  int restarts = 0;
-  Key next_key = *next_key_io;
-  PageId current = kInvalidPageId;  // invalid: descend to locate the leaf
-
-  // Entries of one leaf are harvested under a single version, validated,
-  // and only then delivered — the visitor never sees an unvalidated pair.
+  // Reuse the thread-local harvest buffer across leaves and calls.
   TlReadBuffersLease lease;
   std::vector<Entry> local_entries;
-  std::vector<Entry>& buf =
-      lease.claimed() ? tl_read_buffers.entries : local_entries;
-  buf.reserve(Node::kMaxEntries);
+  std::vector<Entry>* buf =
+      lease.claimed() ? &tl_read_buffers.entries : &local_entries;
+  buf->reserve(Node::kMaxEntries);
+  size_t visited = 0;
+  Key next_key = lo;
+  WithReadPolicy([&](auto* access) {
+    return ScanLeaves(access, &next_key, hi, visitor, &guard, &visited, buf);
+  });
+  return visited;
+}
 
-  int steps = 0;
+template <class Access>
+Status SagivTree::ScanLeaves(Access* access, Key* next_key, Key hi,
+                             const std::function<bool(Key, Value)>& visitor,
+                             EpochManager::Guard* guard, size_t* visited,
+                             std::vector<Entry>* buf) const {
+  Descent d(*next_key, /*level=*/0, /*stack=*/nullptr);
   for (;;) {
-    *next_key_io = next_key;
-    if (current == kInvalidPageId) {
-      Result<PageId> leaf =
-          OptimisticFindNodeAtLevel(next_key, /*level=*/0, nullptr,
-                                    /*wait_for_level=*/true, &failures);
-      if (!leaf.ok()) {
-        // Aborted propagates to the copy fallback; a hard failure ends
-        // the scan with what was delivered (the copy path's behavior).
-        return leaf.status().IsAborted() ? leaf.status() : Status::OK();
-      }
-      current = *leaf;
-      steps = 0;
-    }
-    if (++steps > kMaxStepsPerAttempt) {
-      return Status::Internal("scan did not terminate");
-    }
-    const PageManager::ReadGuard g = pager_->OptimisticRead(current);
-    enum { kRetry, kMove, kRestart, kDeliver } action = kRetry;
-    PageId move_to = kInvalidPageId;
-    StatId move_stat = StatId::kLinkFollows;
-    RestartCause cause = RestartCause::kNone;
-    Key leaf_high = 0;
-    PageId leaf_link = kInvalidPageId;
-    buf.clear();
-    if (g.stable()) {
-      const NodeView view(g.page()->As<Node>());
-      if (view.is_deleted()) {
-        const PageId target = view.merge_target();
-        if (g.Validate()) {
-          if (target == kInvalidPageId) {
-            action = kRestart;
-            cause = RestartCause::kMissingMergeTarget;
-          } else {
-            action = kMove;
-            move_to = target;
-            move_stat = StatId::kMergePointerFollows;
+    // Position at the leaf covering next_key, harvesting its pairs in
+    // [next_key, hi] under the routing decision's version: the visitor
+    // never sees an unvalidated pair.
+    Key high = 0;
+    PageId link = kInvalidPageId;
+    Status s = Descend(
+        access, &d, /*wait_for_level=*/true, guard, [&](const NodeView& view) {
+          buf->clear();
+          high = view.high();
+          link = view.link();
+          const uint32_t n = view.count();
+          for (uint32_t i = view.LowerBound(d.key); i < n; ++i) {
+            const Key k = view.entry_key(i);
+            if (k > hi) break;
+            buf->push_back(Entry{k, view.entry_value(i)});
           }
-        }
-      } else if (!view.is_leaf() || next_key <= view.low()) {
-        // Reused page (no longer a leaf) or data moved left (§5.2 (2)).
-        if (g.Validate()) {
-          action = kRestart;
-          cause = RestartCause::kStaleNode;
-        }
-      } else if (next_key > view.high()) {
-        const PageId link = view.link();
-        if (g.Validate()) {
-          if (link == kInvalidPageId) {
-            action = kRestart;
-            cause = RestartCause::kRightmostStale;
-          } else {
-            action = kMove;
-            move_to = link;
-            move_stat = StatId::kLinkFollows;
-          }
-        }
-      } else {
-        // Harvest this leaf's pairs in [next_key, hi] plus its high/link.
-        leaf_high = view.high();
-        leaf_link = view.link();
-        const uint32_t n = view.count();
-        for (uint32_t i = view.LowerBound(next_key); i < n; ++i) {
-          const Key k = view.entry_key(i);
-          if (k > hi) break;
-          buf.push_back(Entry{k, view.entry_value(i)});
-        }
-        if (g.Validate()) action = kDeliver;
-      }
+        });
+    if (!s.ok()) {
+      // Aborted propagates to the copy fallback; a hard failure ends the
+      // scan with what was delivered.
+      return s.IsAborted() ? s : Status::OK();
     }
-    switch (action) {
-      case kRetry:
-        stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
-        continue;  // re-read the same page
-      case kMove:
-        stats_->Add(StatId::kOptimisticValidations);
-        stats_->Add(move_stat);
-        current = move_to;
-        continue;
-      case kRestart:
-        stats_->Add(StatId::kOptimisticValidations);
-        CountRestart(cause);
-        if (++restarts > options_.max_restarts) {
-          return Status::Internal("too many restarts in scan");
-        }
-        guard->Refresh();
-        current = kInvalidPageId;
-        continue;
-      case kDeliver:
-        break;
-    }
-    stats_->Add(StatId::kOptimisticValidations);
-    for (const Entry& e : buf) {
+    for (const Entry& e : *buf) {
       ++*visited;
       if (!visitor(e.key, e.value)) return Status::OK();
     }
-    if (leaf_high >= hi || leaf_high == kPlusInfinity) return Status::OK();
-    next_key = leaf_high + 1;
-    steps = 0;  // the steps bound is per positioning attempt, not per scan
-    // Fast path: follow the leaf link (the probe above re-checks that it
-    // still covers next_key); a nil link forces a fresh descent.
-    current = leaf_link;
-    if (current != kInvalidPageId) stats_->Add(StatId::kLinkFollows);
+    if (high >= hi || high == kPlusInfinity) return Status::OK();
+    *next_key = d.key = high + 1;
+    // Move right along the leaf level: the next positioning starts at the
+    // link, whose routing re-checks that it covers next_key (a nil link
+    // re-descends from the root). The steps bound is per positioning.
+    d.steps = 0;
+    if (link == kInvalidPageId) {
+      d.current = kInvalidPageId;
+    } else {
+      ApplyRoute(Route{Route::kLink, link}, /*validated=*/false, &d);
+    }
   }
 }
 
-size_t SagivTree::CopyScan(Key next_key, Key hi,
-                           const std::function<bool(Key, Value)>& visitor,
-                           EpochManager::Guard* guard, size_t visited) const {
-  // Reuse the thread-local page across leaves (a fresh 4 KB buffer per
-  // scan costs a cache-cold write-back on every call).
-  TlReadBuffersLease lease;
-  Page local_page;
-  Page& page = lease.claimed() ? tl_read_buffers.page : local_page;
-  Node* node = page.As<Node>();
-  bool have_leaf = false;
+// ---------------------------------------------------------------------------
+// Locked moveright (the write paths' target acquisition)
+// ---------------------------------------------------------------------------
+
+// Locked access for the copy write path (and compressor parent searches):
+// a blocking Lock, then a copy of the locked image into *page (locked
+// fetches cannot fail: fault errors target lock-free readers only).
+class SagivTree::CopyLock {
+ public:
+  CopyLock(const SagivTree* tree, Page* page)
+      : pager_(tree->pager_.get()), page_(page) {}
+  Route Acquire(const Descent& d, bool* locked) {
+    pager_->Lock(d.current);
+    pager_->Get(d.current, page_);
+    *locked = true;
+    return RouteForKey(NodeView(page_->As<Node>()), d.key, d.level);
+  }
+
+ private:
+  PageManager* pager_;
+  Page* page_;
+};
+
+// Locked access for the in-place write path: locks the live node WITHOUT
+// copying its page, using a contention-aware acquisition.
+class SagivTree::InPlaceLock {
+ public:
+  explicit InPlaceLock(const SagivTree* tree) : pager_(tree->pager_.get()) {}
+  Route Acquire(const Descent& d, bool* locked) {
+    *locked = false;
+    // A bounded test-and-test-and-set spin (TryLockSpin) first. When the
+    // lock stays contended through the spin budget, the holder is
+    // mutating THIS node right now — quite possibly splitting a hot leaf,
+    // after which this node is the wrong target anyway. So before
+    // parking, re-route optimistically from the live image: a link/merge
+    // hop or a restart discovered here costs one node access and zero
+    // sleeps, where blocking first would park the writer, wake it into a
+    // stale target, and restart it anyway (the convoy + restart-storm
+    // pattern this discipline exists to break). Only a node that still
+    // looks like the target is worth the parking Lock.
+    if (!pager_->TryLockSpin(d.current)) {
+      const PageManager::ReadGuard peek = pager_->OptimisticRead(d.current);
+      Route reroute;  // kTorn when unstable/unvalidated: no usable signal
+      if (peek.stable()) {
+        reroute = RouteForKey(NodeView(peek.page()->As<Node>()), d.key,
+                              d.level);
+        if (!peek.Validate()) reroute.kind = Route::kTorn;
+      }
+      // kArrived (still the target), kChild (reused as a higher-level
+      // node — let the locked inspection classify it) or kTorn: wait for
+      // the holder. Anything else is acted on without the lock.
+      if (reroute.kind != Route::kArrived && reroute.kind != Route::kChild &&
+          reroute.kind != Route::kTorn) {
+        return reroute;
+      }
+      pager_->Lock(d.current);
+    }
+    *locked = true;
+    // Inspect the live page without copying it. The paper lock excludes
+    // every mutator EXCEPT the reuse pipeline of a stale page (Retire ->
+    // Allocate zeroing -> initializing Put run without it), so reads stay
+    // atomic-and-validated until the image proves live; from then on the
+    // lock alone pins the node. Every peek counts as a node access,
+    // exactly like the optimistic descents.
+    const PageManager::ReadGuard g = pager_->PeekLocked(d.current);
+    Route route;
+    if (g.stable()) {
+      live_ = g.page()->As<Node>();
+      route = RouteForKey(NodeView(live_), d.key, d.level);
+      if (route.kind != Route::kTorn && !g.Validate()) {
+        route.kind = Route::kTorn;
+      }
+    }
+    return route;
+  }
+  // The arrived target's live image: pinned by the lock, so plain reads of
+  // it are safe until Unlock.
+  const Node* live() const { return live_; }
+
+ private:
+  PageManager* pager_;
+  const Node* live_ = nullptr;
+};
+
+template <class Lock>
+Result<PageId> SagivTree::AcquireTarget(Lock* lock, Key key, uint32_t level,
+                                        PageId start,
+                                        std::vector<PageId>* stack,
+                                        int* restarts,
+                                        bool wait_for_level) const {
+  Descent d(key, level, /*stack=*/nullptr);
+  d.Reseed(start);
+  d.restarts = *restarts;
+  Status error;
   for (;;) {
-    if (!have_leaf) {
-      PageId leaf_page;
-      if (!DescendToLeaf(next_key, guard, &page, &leaf_page).ok()) {
-        return visited;
-      }
+    bool locked = false;
+    Route route = lock->Acquire(d, &locked);
+    if (locked) {
+      if (route.kind == Route::kArrived) break;  // locked; image in `lock`
+      pager_->Unlock(d.current);
+      // Under the lock, a node of a HIGHER level than the target is a
+      // reused page, not a descent point.
+      if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
     }
-    // Deliver this leaf's keys in [next_key, hi].
-    for (uint32_t i = node->LowerBound(next_key); i < node->count; ++i) {
-      if (node->entries[i].key > hi) return visited;
-      ++visited;
-      if (!visitor(node->entries[i].key, node->entries[i].value)) {
-        return visited;
-      }
+    const Step step = ApplyRoute(route, /*validated=*/false, &d);
+    if (step == Step::kAborted || step == Step::kExhausted) {
+      error = StepError(step);
+      break;
     }
-    if (node->high >= hi || node->high == kPlusInfinity) return visited;
-    next_key = node->high + 1;
-    // Fast path: follow the leaf link; fall back to a fresh descent when
-    // compression moved the range.
-    const PageId link = node->link;
-    have_leaf = false;
-    if (link != kInvalidPageId) {
-      // A failed link fetch just falls back to a fresh descent (which
-      // retries with backoff); the page image is only trusted on OK.
-      if (pager_->Get(link, &page).ok() && !node->is_deleted() &&
-          node->is_leaf() && next_key > node->low && next_key <= node->high) {
-        stats_->Add(StatId::kLinkFollows);
-        have_leaf = true;
+    if (step == Step::kRestart) {
+      Result<PageId> r =
+          internal_FindNodeAtLevel(key, level, stack, wait_for_level);
+      if (!r.ok()) {
+        error = r.status();
+        break;
       }
+      d.Reseed(*r);
     }
   }
+  *restarts = d.restarts;
+  if (!error.ok()) return error;
+  return d.current;
+}
+
+Result<PageId> SagivTree::internal_AcquireTargetNode(
+    Key key, uint32_t level, PageId start, std::vector<PageId>* stack,
+    int* restarts, Page* page, bool wait_for_level) const {
+  CopyLock lock(this, page);
+  return AcquireTarget(&lock, key, level, start, stack, restarts,
+                       wait_for_level);
+}
+
+Result<PageId> SagivTree::LockForCommit(Key key, uint32_t level, PageId start,
+                                        std::vector<PageId>* stack,
+                                        int* restarts, bool* inplace,
+                                        Page* page, const Node** view) const {
+  if (*inplace) {
+    InPlaceLock lock(this);
+    Result<PageId> r = AcquireTarget(&lock, key, level, start, stack,
+                                     restarts, /*wait_for_level=*/true);
+    if (!r.status().IsAborted()) {
+      *view = lock.live();
+      return r;
+    }
+    // In-place mode is per operation: once a locked inspection exhausts
+    // its validation budget, the rest of the operation copies.
+    stats_->Add(StatId::kInplaceFallbacks);
+    *inplace = false;
+  }
+  *view = page->As<Node>();
+  return internal_AcquireTargetNode(key, level, start, stack, restarts, page);
 }
 
 // ---------------------------------------------------------------------------
 // Insertion (Figs. 5 and 6)
 // ---------------------------------------------------------------------------
-
-Result<PageId> SagivTree::AcquireTargetNode(Key ins_key, uint32_t level,
-                                            PageId start,
-                                            std::vector<PageId>* stack,
-                                            int* restarts, Page* page,
-                                            bool wait_for_level) const {
-  Node* node = page->As<Node>();
-  PageId current = start;
-  for (int steps = 0;; ++steps) {
-    if (steps > kMaxStepsPerAttempt) {
-      return Status::Internal("moveright did not terminate");
-    }
-    pager_->Lock(current);
-    // Locked fetches cannot fail: fault errors target lock-free readers
-    // only (see PageManager::Get).
-    pager_->Get(current, page);
-    RestartCause cause = RestartCause::kNone;
-    if (node->is_deleted()) {
-      const PageId target = node->merge_target;
-      pager_->Unlock(current);
-      if (target != kInvalidPageId) {
-        stats_->Add(StatId::kMergePointerFollows);
-        current = target;
-        continue;
-      }
-      cause = RestartCause::kMissingMergeTarget;
-    } else if (node->level != level || ins_key <= node->low) {
-      pager_->Unlock(current);
-      cause = RestartCause::kStaleNode;
-    } else if (ins_key > node->high) {
-      const PageId link = node->link;
-      pager_->Unlock(current);
-      if (link == kInvalidPageId) {
-        cause = RestartCause::kRightmostStale;
-      } else {
-        stats_->Add(StatId::kLinkFollows);
-        current = link;
-        continue;
-      }
-    } else {
-      return current;  // locked; image in *page
-    }
-    assert(cause != RestartCause::kNone);
-    CountRestart(cause);
-    if (++(*restarts) > options_.max_restarts) {
-      return Status::Internal("too many restarts acquiring target node");
-    }
-    Result<PageId> r =
-        internal_FindNodeAtLevel(ins_key, level, stack, wait_for_level);
-    if (!r.ok()) return r.status();
-    current = *r;
-  }
-}
-
-Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
-                                               PageId start,
-                                               std::vector<PageId>* stack,
-                                               int* restarts,
-                                               const Node** live) const {
-  int failures = 0;
-  PageId current = start;
-  for (int steps = 0;; ++steps) {
-    if (steps > kMaxStepsPerAttempt) {
-      return Status::Internal("moveright did not terminate");
-    }
-    // Contention-aware acquisition: a bounded test-and-test-and-set spin
-    // (TryLockSpin) first. When the lock stays contended through the spin
-    // budget, the holder is mutating THIS node right now — quite possibly
-    // splitting a hot leaf, after which this node is the wrong target
-    // anyway. So before parking, re-route optimistically from the live
-    // image: a link/merge hop or a restart discovered here costs one node
-    // access and zero sleeps, where blocking first would park the writer,
-    // wake it into a stale target, and restart it anyway (the convoy +
-    // restart-storm pattern this discipline exists to break). Only a node
-    // that still looks like the target is worth the parking Lock.
-    if (!pager_->TryLockSpin(current)) {
-      const PageManager::ReadGuard peek = pager_->OptimisticRead(current);
-      Route reroute;  // kTorn when unstable/unvalidated: no usable signal
-      if (peek.stable()) {
-        reroute = RouteForKey(NodeView(peek.page()->As<Node>()), key, level);
-        if (!peek.Validate()) reroute.kind = Route::kTorn;
-      }
-      switch (reroute.kind) {
-        case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = reroute.next;
-          continue;
-        case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = reroute.next;
-          continue;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget: {
-          CountRestart(CauseFor(reroute.kind));
-          if (++(*restarts) > options_.max_restarts) {
-            return Status::Internal("too many restarts acquiring target node");
-          }
-          Result<PageId> r = internal_FindNodeAtLevel(key, level, stack);
-          if (!r.ok()) return r.status();
-          current = *r;
-          continue;
-        }
-        default:
-          // kArrived (still the target), kChild (reused as a higher-level
-          // node — let the locked inspection classify it), or kTorn: wait
-          // for the holder.
-          pager_->Lock(current);
-          break;
-      }
-    }
-    // Inspect the live page without copying it. The paper lock excludes
-    // every mutator EXCEPT the reuse pipeline of a stale page (Retire ->
-    // Allocate zeroing -> initializing Put run without it), so reads stay
-    // atomic-and-validated until the image proves live; from then on the
-    // lock alone pins the node. Every peek — retries included — counts
-    // as a node access, exactly like the optimistic descents.
-    Route route;
-    const Node* node_image = nullptr;
-    for (;;) {
-      const PageManager::ReadGuard g = pager_->PeekLocked(current);
-      route = Route{};  // kTorn: also covers the unstable-guard case
-      if (g.stable()) {
-        node_image = g.page()->As<Node>();
-        route = RouteForKey(NodeView(node_image), key, level);
-        // Under the lock, a node of a HIGHER level than the target is a
-        // reused page, not a descent point — same restart the copy
-        // acquire takes on node->level != level.
-        if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
-        if (route.kind != Route::kTorn && !g.Validate()) {
-          route.kind = Route::kTorn;
-        }
-      }
-      if (route.kind != Route::kTorn) break;
-      // Only an in-flight page reuse can keep tearing a locked page; it
-      // resolves in a bounded number of bumps, but budget it like the
-      // optimistic read path so a protocol bug cannot spin here.
-      stats_->Add(StatId::kOptimisticRetries);
-      if (++failures > options_.optimistic_retry_limit) {
-        pager_->Unlock(current);
-        return Status::Aborted("in-place write retry budget exhausted");
-      }
-    }
-    switch (route.kind) {
-      case Route::kArrived:
-        *live = node_image;
-        return current;  // locked; *live pinned until Unlock
-      case Route::kLink:
-        pager_->Unlock(current);
-        stats_->Add(StatId::kLinkFollows);
-        current = route.next;
-        continue;
-      case Route::kMerge:
-        pager_->Unlock(current);
-        stats_->Add(StatId::kMergePointerFollows);
-        current = route.next;
-        continue;
-      default:
-        break;  // a restart kind (kChild/kTorn were handled above)
-    }
-    pager_->Unlock(current);
-    const RestartCause cause = CauseFor(route.kind);
-    CountRestart(cause);
-    if (++(*restarts) > options_.max_restarts) {
-      return Status::Internal("too many restarts acquiring target node");
-    }
-    Result<PageId> r = internal_FindNodeAtLevel(key, level, stack);
-    if (!r.ok()) return r.status();
-    current = *r;
-  }
-}
 
 void SagivTree::ApplyInsert(Node* node, Key key, uint64_t down_ptr) {
   if (node->is_leaf()) {
@@ -1216,7 +947,7 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
   // been retired and reused as anything since it was cached. Re-establish
   // the truth under the lock through PeekLocked validation (a reuse
   // pipeline can rewrite even a locked page; same discipline as
-  // AcquireTargetInPlace): the node must still be the live rightmost leaf
+  // InPlaceLock): the node must still be the live rightmost leaf
   // — not deleted, level 0, nil link, high = +inf — with room to grow,
   // and `key` must extend its max (which also proves the key absent from
   // the whole tree: every other leaf holds smaller keys). Once an image
@@ -1284,9 +1015,19 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
 }
 
 Status SagivTree::Insert(Key key, Value value) {
+  return InsertOrOverwrite(key, value, /*overwrite=*/false);
+}
+
+Status SagivTree::Upsert(Key key, Value value) {
+  return InsertOrOverwrite(key, value, /*overwrite=*/true);
+}
+
+Status SagivTree::InsertOrOverwrite(Key key, Value value, bool overwrite) {
   if (key < 1 || key > kMaxUserKey) {
     return Status::InvalidArgument("key out of range");
   }
+  // An upsert is an insert that may degenerate to a value overwrite; it
+  // counts as one logical insert either way.
   stats_->Add(StatId::kInserts);
   EpochManager::Guard guard(epoch_.get());
   // One checkpoint-gate hold for the WHOLE insert (descent, splits,
@@ -1294,7 +1035,8 @@ Status SagivTree::Insert(Key key, Value value) {
   PageManager::MutatorScope mutator_scope(pager_.get());
 
   // Rightmost fast path: a key beyond every key ever inserted can only
-  // belong at the end of the rightmost leaf — try to append there without
+  // belong at the end of the rightmost leaf (and is necessarily absent, so
+  // an upsert is a plain insert) — try to append there without
   // descending. A miss (stale hint) falls through to the normal descent,
   // which refreshes the hint below.
   const bool max_extending =
@@ -1320,42 +1062,7 @@ Status SagivTree::Insert(Key key, Value value) {
     // locked validation rejects such a hint, costing only a miss.
     rightmost_hint_.store(*found, std::memory_order_release);
   }
-  Status s = InsertCommit(key, value, *found, &stack, /*overwrite=*/false);
-  if (s.ok() && max_extending) NoteMaxKey(key);
-  return s;
-}
-
-Status SagivTree::Upsert(Key key, Value value) {
-  if (key < 1 || key > kMaxUserKey) {
-    return Status::InvalidArgument("key out of range");
-  }
-  // An upsert is an insert that may degenerate to a value overwrite; it
-  // counts as one logical insert either way.
-  stats_->Add(StatId::kInserts);
-  EpochManager::Guard guard(epoch_.get());
-  PageManager::MutatorScope mutator_scope(pager_.get());
-
-  // A key beyond the tree's max is necessarily absent, so the upsert is a
-  // plain insert and the rightmost fast path applies unchanged.
-  const bool max_extending =
-      options_.append_leaves &&
-      key > max_key_hint_.load(std::memory_order_relaxed);
-  if (max_extending) {
-    bool done = false;
-    Status s = TryAppendFast(key, value, &done);
-    if (done) return s;
-  }
-
-  std::vector<PageId> local_stack;
-  TlStackLease stack_lease(&local_stack);
-  std::vector<PageId>& stack = *stack_lease.stack();
-  Result<PageId> found = internal_FindNodeAtLevel(key, 0, &stack);
-  if (!found.ok()) return found.status();
-  if (max_extending) {
-    // Best effort, exactly as in Insert above.
-    rightmost_hint_.store(*found, std::memory_order_release);
-  }
-  Status s = InsertCommit(key, value, *found, &stack, /*overwrite=*/true);
+  Status s = InsertCommit(key, value, *found, &stack, overwrite);
   if (s.ok() && max_extending) NoteMaxKey(key);
   return s;
 }
@@ -1368,8 +1075,6 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
   uint64_t down_ptr = value;
   uint32_t level = 0;
   int restarts = 0;
-  // In-place mode is per-operation: once a locked inspection exhausts its
-  // validation budget the whole operation falls back to copy semantics.
   bool inplace = options_.inplace_writes;
   Page page;
   Node* node = page.As<Node>();
@@ -1378,28 +1083,10 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
     // `view` is the locked node's image: the live page (in-place acquire,
     // plain reads safe under the lock) or the private copy in `page`.
     const Node* view = nullptr;
-    bool locked_inplace = false;
-    if (inplace) {
-      Result<PageId> target =
-          AcquireTargetInPlace(ins_key, level, current, &stack, &restarts,
-                               &view);
-      if (target.ok()) {
-        current = *target;
-        locked_inplace = true;
-      } else if (target.status().IsAborted()) {
-        stats_->Add(StatId::kInplaceFallbacks);
-        inplace = false;
-      } else {
-        return target.status();
-      }
-    }
-    if (!locked_inplace) {
-      Result<PageId> target =
-          AcquireTargetNode(ins_key, level, current, &stack, &restarts, &page);
-      if (!target.ok()) return target.status();
-      current = *target;
-      view = node;
-    }
+    Result<PageId> target = LockForCommit(ins_key, level, current, &stack,
+                                          &restarts, &inplace, &page, &view);
+    if (!target.ok()) return target.status();
+    current = *target;
 
     if (level == 0) {
       const uint32_t idx = view->LowerBound(ins_key);
@@ -1411,7 +1098,7 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
         // Upsert replace case: overwrite the value under the lock we
         // already hold — same critical section as the presence check, so
         // the key is never transiently absent. Size is unchanged.
-        if (locked_inplace) {
+        if (inplace) {
           PageManager::WriteGuard wg = pager_->BeginWrite(current);
           const size_t bytes =
               wg.page()->As<Node>()->SetLeafValueAtInPlace(idx, value);
@@ -1431,13 +1118,13 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
 
     AscentState st;
     if (view->count < options_.capacity()) {
-      if (locked_inplace) {
+      if (inplace) {
         InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
       } else {
         InsertIntoSafe(&page, current, ins_key, down_ptr, &st);
       }
     } else {
-      if (locked_inplace) {
+      if (inplace) {
         // Splits keep copy semantics: pay the copy-out the in-place
         // acquire skipped, under the lock we already hold (locked fetches
         // cannot fail).
@@ -1519,33 +1206,18 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
   Page page;
   Node* node = page.As<Node>();
   int restarts = 0;
+  bool inplace = options_.inplace_writes;
   // `view` is the locked leaf's image: the live page (in-place mode) or
   // the private copy in `page`; after the removal it reflects the new
   // count/high either way.
   const Node* view = nullptr;
-  bool locked_inplace = false;
-  PageId leaf = kInvalidPageId;
-  if (options_.inplace_writes) {
-    Result<PageId> target = AcquireTargetInPlace(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
-    if (target.ok()) {
-      leaf = *target;
-      locked_inplace = true;
-    } else if (target.status().IsAborted()) {
-      stats_->Add(StatId::kInplaceFallbacks);
-    } else {
-      return target.status();
-    }
-  }
-  if (!locked_inplace) {
-    Result<PageId> target = AcquireTargetNode(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &page);
-    if (!target.ok()) return target.status();
-    leaf = *target;
-    view = node;
-  }
+  Result<PageId> target =
+      LockForCommit(key, 0, start, want_stack ? &stack : nullptr, &restarts,
+                    &inplace, &page, &view);
+  if (!target.ok()) return target.status();
+  const PageId leaf = *target;
 
-  if (locked_inplace) {
+  if (inplace) {
     // One search serves both the presence check and the removal: the
     // lock pins the live image, so the index cannot shift in between.
     const uint32_t idx = view->LowerBound(key);
@@ -1602,6 +1274,9 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
   std::vector<std::optional<Value>> values;
   active.reserve(n);
   distinct.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ops[i].d.stack = collect_stacks ? &ops[i].stack : nullptr;
+  }
 
   for (;;) {
     active.clear();
@@ -1612,30 +1287,26 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
     }
     if (active.empty()) return;
 
-    // (Re)seed restarted continuations; one prime read serves the round.
-    // Level 0 always exists, so there is no wait-for-level case here.
+    // (Re)seed new and restarted continuations; one prime read serves the
+    // round. Level 0 always exists, so there is no wait-for-level case.
     bool need_root = false;
-    for (uint32_t i : active) need_root |= ops[i].need_root;
+    for (uint32_t i : active) need_root |= ops[i].d.current == kInvalidPageId;
     if (need_root) {
-      const PrimeBlockData pb = prime_.Read();
+      const PageId root = prime_.Read().root();
       for (uint32_t i : active) {
-        BatchCont& op = ops[i];
-        if (!op.need_root) continue;
-        op.need_root = false;
-        op.current = pb.root();
-        op.stack.clear();
+        if (ops[i].d.current == kInvalidPageId) ops[i].d.Reseed(root);
       }
     }
 
     // Group the round's reads by target page and issue their simulated-I/O
     // waits together: one latency covers the whole round.
     std::sort(active.begin(), active.end(), [&](uint32_t a, uint32_t b) {
-      return ops[a].current < ops[b].current;
+      return ops[a].d.current < ops[b].d.current;
     });
     distinct.clear();
     for (uint32_t i : active) {
-      if (distinct.empty() || distinct.back() != ops[i].current) {
-        distinct.push_back(ops[i].current);
+      if (distinct.empty() || distinct.back() != ops[i].d.current) {
+        distinct.push_back(ops[i].d.current);
       }
     }
     bs->io_overlapped += pager_->PrefetchPages(distinct.data(),
@@ -1644,9 +1315,9 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
     // One validated read per distinct page serves every op routed
     // through it; the sharers beyond the first are coalesced fetches.
     for (size_t gi = 0; gi < active.size();) {
-      const PageId page_id = ops[active[gi]].current;
+      const PageId page_id = ops[active[gi]].d.current;
       size_t ge = gi;
-      while (ge < active.size() && ops[active[ge]].current == page_id) ++ge;
+      while (ge < active.size() && ops[active[ge]].d.current == page_id) ++ge;
       const uint64_t group = static_cast<uint64_t>(ge - gi);
 
       const PageManager::ReadGuard g = pager_->OptimisticRead(page_id);
@@ -1656,80 +1327,42 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       if (g.stable()) {
         const NodeView view(g.page()->As<Node>());
         for (size_t k = gi; k < ge; ++k) {
-          const BatchCont& op = ops[active[k]];
-          Route r = RouteForKey(view, op.key, /*target_level=*/0);
+          const Key key = ops[active[k]].d.key;
+          Route r = RouteForKey(view, key, /*target_level=*/0);
           // Probe the leaf slot under the same version as the routing
           // decision: the one validation below covers both.
           values.push_back(probe_values && r.kind == Route::kArrived
-                               ? view.FindLeafValue(op.key)
+                               ? view.FindLeafValue(key)
                                : std::nullopt);
           routes.push_back(r);
         }
         valid = g.Validate();
       }
-      if (!valid) {
-        // Torn read: every sharer would have discarded this image had it
-        // read the page itself, so each op's retry budget advances.
-        stats_->Add(StatId::kOptimisticRetries, group);
-        for (size_t k = gi; k < ge; ++k) {
-          BatchCont& op = ops[active[k]];
-          if (++op.failures > options_.optimistic_retry_limit) {
-            op.state = BatchCont::kFallback;
-          }
-          // else: stay on the same page for the next round's re-read
-        }
-        gi = ge;
-        continue;
-      }
-      stats_->Add(StatId::kOptimisticValidations, group);
-      if (group > 1) {
+      if (valid && group > 1) {
         stats_->Add(StatId::kBatchPagesCoalesced, group - 1);
         bs->pages_coalesced += group - 1;
       }
       for (size_t k = gi; k < ge; ++k) {
         BatchCont& op = ops[active[k]];
-        if (++op.steps > kMaxStepsPerAttempt) {
-          op.state = BatchCont::kError;
-          op.status = Status::Internal("descent did not terminate");
-          continue;
-        }
-        const Route& route = routes[k - gi];
-        switch (route.kind) {
-          case Route::kArrived:
+        // A torn read advances every sharer's retry budget: each would
+        // have discarded this image had it read the page itself.
+        const Step step = ApplyRoute(valid ? routes[k - gi] : Route{},
+                                     /*validated=*/true, &op.d);
+        switch (step) {
+          case Step::kArrived:
             op.state = BatchCont::kArrived;
             op.value = values[k - gi];
             break;
-          case Route::kChild:
-            if (collect_stacks) op.stack.push_back(op.current);
-            op.current = route.next;
+          case Step::kAborted:
+            op.state = BatchCont::kFallback;
             break;
-          case Route::kLink:
-            stats_->Add(StatId::kLinkFollows);
-            op.current = route.next;
+          case Step::kExhausted:
+            op.state = BatchCont::kError;
+            op.status = StepError(step);
             break;
-          case Route::kMerge:
-            stats_->Add(StatId::kMergePointerFollows);
-            op.current = route.next;
-            break;
-          case Route::kRestartStale:
-          case Route::kRestartRightmost:
-          case Route::kRestartNoMergeTarget:
-            CountRestart(CauseFor(route.kind));
-            if (++op.restarts > options_.max_restarts) {
-              op.state = BatchCont::kError;
-              op.status = Status::Internal("too many restarts in batch");
-            } else {
-              op.need_root = true;
-            }
-            break;
-          case Route::kTorn:
-            // Inconsistent-but-validated image (defensive ChildFor
-            // miss): treat like a discarded read and re-read next round.
-            stats_->Add(StatId::kOptimisticRetries);
-            if (++op.failures > options_.optimistic_retry_limit) {
-              op.state = BatchCont::kFallback;
-            }
-            break;
+          case Step::kMoved:
+          case Step::kRestart:
+            break;  // next round: the next page, or a reseed at the root
         }
       }
       gi = ge;
@@ -1759,8 +1392,8 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
     const size_t w = std::min(width, n - w0);
     for (size_t j = 0; j < w; ++j) {
       conts[j] = BatchCont{};
-      conts[j].key = keys[w0 + j];
-      if (conts[j].key < 1 || conts[j].key > kMaxUserKey) {
+      conts[j].d.key = keys[w0 + j];
+      if (conts[j].d.key < 1 || conts[j].d.key > kMaxUserKey) {
         conts[j].state = BatchCont::kError;
         conts[j].status = Status::InvalidArgument("key out of range");
       }
@@ -1778,18 +1411,10 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
           out[w0 + j] = op.status;
           break;
         case BatchCont::kFallback: {
-          // Same copy-read fallback as single-op Search.
+          // The copy search single-op Search falls back to.
           stats_->Add(StatId::kOptimisticFallbacks);
-          Page page;
-          PageId leaf_page;
-          Status s = DescendToLeaf(op.key, &guard, &page, &leaf_page);
-          if (!s.ok()) {
-            out[w0 + j] = s;
-            break;
-          }
-          std::optional<Value> v = page.As<Node>()->FindLeafValue(op.key);
-          out[w0 + j] = v.has_value() ? Result<Value>(*v)
-                                      : Result<Value>(Status::NotFound());
+          CopyRead copy(this);
+          out[w0 + j] = SearchLeaf(&copy, op.d.key, &guard);
           break;
         }
         case BatchCont::kRunning:
@@ -1837,8 +1462,8 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
     const size_t w = std::min(width, n - w0);
     for (size_t j = 0; j < w; ++j) {
       conts[j] = BatchCont{};
-      conts[j].key = keys[w0 + j];
-      if (conts[j].key < 1 || conts[j].key > kMaxUserKey) {
+      conts[j].d.key = keys[w0 + j];
+      if (conts[j].d.key < 1 || conts[j].d.key > kMaxUserKey) {
         conts[j].state = BatchCont::kError;
         conts[j].status = Status::InvalidArgument("key out of range");
       }
@@ -1855,7 +1480,7 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
     Key window_max = 0;  // largest committed insert/upsert key this window
     for (size_t j = 0; j < w; ++j) {
       BatchCont& op = conts[j];
-      PageId start = op.current;
+      PageId start = op.d.current;
       if (op.state == BatchCont::kError) {
         out[w0 + j] = op.status;
         continue;
@@ -1864,33 +1489,33 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
         // Copy-read fallback descent, as internal_FindNodeAtLevel does
         // after an exhausted optimistic budget.
         stats_->Add(StatId::kOptimisticFallbacks);
-        op.stack.clear();
-        Result<PageId> found = CopyFindNodeAtLevel(
-            op.key, 0, want_stack ? &op.stack : nullptr,
-            /*wait_for_level=*/true);
-        if (!found.ok()) {
-          out[w0 + j] = found.status();
+        CopyRead copy(this);
+        Descent d(op.d.key, /*level=*/0, op.d.stack);
+        Status s = Descend(&copy, &d, /*wait_for_level=*/true,
+                           /*guard=*/nullptr, [](const NodeView&) {});
+        if (!s.ok()) {
+          out[w0 + j] = s;
           continue;
         }
-        start = *found;
+        start = d.current;
       }
       switch (kind) {
         case MutateKind::kInsert:
-          out[w0 + j] = InsertCommit(op.key, values[w0 + j], start,
+          out[w0 + j] = InsertCommit(op.d.key, values[w0 + j], start,
                                      &op.stack, /*overwrite=*/false);
           break;
         case MutateKind::kUpsert:
-          out[w0 + j] = InsertCommit(op.key, values[w0 + j], start,
+          out[w0 + j] = InsertCommit(op.d.key, values[w0 + j], start,
                                      &op.stack, /*overwrite=*/true);
           break;
         case MutateKind::kDelete:
-          out[w0 + j] = DeleteCommit(op.key, start,
+          out[w0 + j] = DeleteCommit(op.d.key, start,
                                      want_stack ? &op.stack : nullptr, guard);
           break;
       }
       if (kind != MutateKind::kDelete && out[w0 + j].ok() &&
-          op.key > window_max) {
-        window_max = op.key;
+          op.d.key > window_max) {
+        window_max = op.d.key;
       }
     }
     // Batched inserts must feed the append fast path's watermark like the

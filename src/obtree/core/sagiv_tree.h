@@ -197,10 +197,7 @@ class SagivTree {
                                             PageId start,
                                             std::vector<PageId>* stack,
                                             int* restarts, Page* page,
-                                            bool wait_for_level = true) const {
-    return AcquireTargetNode(key, level, start, stack, restarts, page,
-                             wait_for_level);
-  }
+                                            bool wait_for_level = true) const;
 
   /// Adjust the logical size counter (used by compressors never; by tests
   /// rebuilding state). Positive or negative delta.
@@ -219,41 +216,149 @@ class SagivTree {
     rightmost_hint_.store(rightmost_leaf, std::memory_order_release);
   }
 
-  // Why a descent gave up on its current node and restarted from the
-  // root; drives the per-cause restart counters. An implementation
-  // detail, public only so sagiv_tree.cc's file-local route-dispatch
-  // helpers can name it.
-  enum class RestartCause {
-    kNone,
-    kStaleNode,           // wrong level, or key <= low: a reused page or
-                          // data moved left by compression (§5.2 case (2))
-    kRightmostStale,      // nil link yet key > high: stale rightmost node
-    kMissingMergeTarget,  // deleted node whose merge pointer is not posted
+ private:
+  // --- the descent kernel ----------------------------------------------------
+  //
+  // Sagiv's one traversal — movedown plus moveright with next(A, v),
+  // merge-pointer recovery and restart on a wrong node (§§3, 5.2) — is
+  // written once: RouteForKey classifies a node image into a Route, and
+  // ApplyRoute applies a validated Route to a Descent. Every walk of the
+  // tree is a loop around that pair over a page-access policy, a
+  // compile-time parameter that hands the loop a NodeView:
+  //
+  //   * InPlaceRead: the live page via OptimisticRead + Validate (the
+  //     default read path; moves no page bytes);
+  //   * CopyRead: a private copy via FetchPage into the thread's copy
+  //     page (optimistic_reads off, and the fallback once
+  //     optimistic_retry_limit reads were discarded);
+  //   * InPlaceLock / CopyLock: the locked moveright of the write paths
+  //     (AcquireTarget), live-and-validated or copied.
+  //
+  // The policies and Route are defined in sagiv_tree.cc.
+  struct Route;
+  class InPlaceRead;
+  class CopyRead;
+  class InPlaceLock;
+  class CopyLock;
+
+  // The paper's next(A, v) evaluated on a possibly-torn image: the only
+  // code that decides child / link / merge / arrived / restart. Reads only
+  // header words (plus one binary search for the child case) and never
+  // chases a pointer itself; the caller validates the image before
+  // applying the route.
+  static Route RouteForKey(const NodeView& view, Key key,
+                           uint32_t target_level);
+
+  // One descent's state: the locals of movedown + moveright, explicit so
+  // the batch engine can keep many in flight.
+  struct Descent {
+    Descent() = default;
+    Descent(Key k, uint32_t lvl, std::vector<PageId>* s)
+        : key(k), level(lvl), stack(s) {}
+    // Start an attempt at `from` (the root after a restart).
+    void Reseed(PageId from) {
+      current = from;
+      previous = kInvalidPageId;
+      steps = 0;
+      backtracks = 0;
+      if (stack != nullptr) stack->clear();
+    }
+
+    Key key = 0;
+    uint32_t level = 0;                    // target level
+    PageId current = kInvalidPageId;       // invalid: (re)seed at the root
+    std::vector<PageId>* stack = nullptr;  // movedown stack, or null
+    PageId previous = kInvalidPageId;      // node we came from (§5.2)
+    bool previous_pushed = false;          // ...and it is on top of stack
+    int failures = 0;    // discarded reads (optimistic_retry_limit)
+    int restarts = 0;    // restarts from the root (max_restarts)
+    int steps = 0;       // routing steps this attempt
+    int backtracks = 0;  // §5.2 backtracks this attempt
   };
 
- private:
-  void CountRestart(RestartCause cause) const;
+  enum class Step {
+    kMoved,      // d->current is the next page to read (kTorn: the same)
+    kArrived,    // d->current is the live target
+    kRestart,    // counted; d->current is invalid: reseed at the root
+    kAborted,    // retry budget spent: finish on the copy policy
+    kExhausted,  // restart or step budget spent: the operation fails
+  };
+  // The status of a descent that ended in kAborted or kExhausted.
+  static Status StepError(Step step);
+
+  // The one routing step. Applies `route` to `d`: a kTorn route re-reads
+  // the node against the retry budget (kOptimisticRetries); any other
+  // counts kOptimisticValidations when `validated` (it came from a
+  // seqlock-validated read), then follows a child (pushing the movedown
+  // stack), link or merge pointer (kLinkFollows / kMergePointerFollows),
+  // or handles a wrong node — first by the §5.2 backtrack to the node it
+  // came from (kBacktracks, popping a stacked child edge), else by a
+  // restart charged by cause against options().max_restarts.
+  Step ApplyRoute(const Route& route, bool validated, Descent* d) const;
+
+  // Runs `d` to its target level, starting at d->current or the root,
+  // reading pages through `access`; on OK, d->current is the target.
+  // `probe(view)` runs on the target's image under the arrival's
+  // validation (the leaf value probe, the scan's harvest). `guard`, when
+  // set, is refreshed on each restart. Without wait_for_level a missing
+  // level is NotFound.
+  template <class Access, class Probe>
+  Status Descend(Access* access, Descent* d, bool wait_for_level,
+                 EpochManager::Guard* guard, const Probe& probe) const;
+
+  // Runs `op(access)` over InPlaceRead when options().optimistic_reads,
+  // then over CopyRead when that is off or the in-place run returned
+  // Aborted (kOptimisticFallbacks).
+  template <class Op>
+  auto WithReadPolicy(const Op& op) const;
+
+  // Point lookup over one policy: descent plus leaf value probe.
+  template <class Access>
+  Result<Value> SearchLeaf(Access* access, Key key,
+                           EpochManager::Guard* guard) const;
+
+  // Range scan over one policy from *next_key: harvests each leaf's pairs
+  // under its arrival's validation into *buf, then delivers, then moves
+  // right through the leaf link. On Aborted, *next_key is the resume
+  // position and *visited the pairs already delivered.
+  template <class Access>
+  Status ScanLeaves(Access* access, Key* next_key, Key hi,
+                    const std::function<bool(Key, Value)>& visitor,
+                    EpochManager::Guard* guard, size_t* visited,
+                    std::vector<Entry>* buf) const;
+
+  // Locked moveright: lock the live node at `level` in whose range `key`
+  // falls, starting at `start`, through `lock`'s acquisition. On success
+  // the node is paper-locked and its image is held by `lock`. A locked
+  // node above the target level is a reused page (restart); a restart
+  // re-descends with internal_FindNodeAtLevel, refreshing `stack`.
+  template <class Lock>
+  Result<PageId> AcquireTarget(Lock* lock, Key key, uint32_t level,
+                               PageId start, std::vector<PageId>* stack,
+                               int* restarts, bool wait_for_level) const;
+
+  // The commits' acquisition: InPlaceLock while *inplace, falling back
+  // (kInplaceFallbacks, *inplace cleared) to CopyLock into *page when its
+  // validation budget runs out. *view is the locked image: the live page
+  // (pinned until Unlock) or *page.
+  Result<PageId> LockForCommit(Key key, uint32_t level, PageId start,
+                               std::vector<PageId>* stack, int* restarts,
+                               bool* inplace, Page* page,
+                               const Node** view) const;
 
   // --- pipelined batch descent engine ---------------------------------------
 
-  // Resumable continuation of one in-flight batch descent: the explicit
-  // per-op state the single-op descent loops keep in locals (current
-  // page, movedown stack, retry/restart/step budgets), plus the op's
-  // final outcome. The engine advances a window of these in lockstep
-  // rounds; see PipelineDescents.
+  // Resumable continuation of one in-flight batch descent: its Descent
+  // plus the op's final outcome. The engine advances a window of these in
+  // lockstep rounds; see PipelineDescents.
   struct BatchCont {
-    Key key = 0;
-    PageId current = kInvalidPageId;
+    Descent d;                    // key, current page, budgets
     std::vector<PageId> stack;    // movedown stack (collect_stacks mode)
     std::optional<Value> value;   // leaf probe result (probe_values mode)
     Status status;                // outcome when state == kError
-    int failures = 0;             // discarded optimistic reads so far
-    int restarts = 0;             // restarts from the root so far
-    int steps = 0;                // pointer-chasing bound (kMaxSteps...)
-    bool need_root = true;        // (re)seed from the prime block
     enum State {
       kRunning,   // still descending
-      kArrived,   // at the live level-0 target (current = leaf)
+      kArrived,   // at the live level-0 target (d.current = leaf)
       kFallback,  // optimistic budget exhausted: caller runs the serial
                   // copy-path fallback for this op
       kError,     // terminal failure in `status`
@@ -266,7 +371,7 @@ class SagivTree {
   // together (PageManager::PrefetchPages), perform ONE validated
   // OptimisticRead per distinct page shared by every op routed through
   // it (the sharers beyond the first count kBatchPagesCoalesced), then
-  // advance each continuation by one routing step. Requires
+  // advance each continuation by one ApplyRoute step. Requires
   // options().optimistic_reads; the caller holds the epoch guard. `bs`
   // accumulates the batch-level counters.
   void PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
@@ -308,6 +413,9 @@ class SagivTree {
   // Raise max_key_hint_ to at least `key` (relaxed CAS-max).
   void NoteMaxKey(Key key);
 
+  // Shared body of Insert (overwrite false) and Upsert (true).
+  Status InsertOrOverwrite(Key key, Value value, bool overwrite);
+
   // The locked second half of Insert/Upsert (the Fig. 5 "repeat until
   // completed" loop), starting from a descent's level-0 result `start`
   // with its movedown stack. With `overwrite`, a key found present in
@@ -330,76 +438,6 @@ class SagivTree {
   // exhaustion) before surfacing the error to the operation.
   Status FetchPage(PageId id, Page* out) const;
 
-  // Copy-read search descent (the fallback path, and the only path when
-  // options().optimistic_reads is false): movedown + moveright without
-  // locking. Fills *page with the image of the leaf whose range contains
-  // `key` and *leaf_page with its id. Restarts (refreshing *guard) when
-  // routed to a wrong node. Counts restarts against options().max_restarts.
-  Status DescendToLeaf(Key key, EpochManager::Guard* guard, Page* page,
-                       PageId* leaf_page) const;
-
-  // Copy-read half of internal_FindNodeAtLevel (one 4 KB Get per node
-  // visited).
-  Result<PageId> CopyFindNodeAtLevel(Key key, uint32_t level,
-                                     std::vector<PageId>* stack_out,
-                                     bool wait_for_level) const;
-
-  // Optimistic half of internal_FindNodeAtLevel: reads each node in place
-  // and validates the page version before acting on anything it saw.
-  // *failures accumulates discarded reads across the logical operation;
-  // returns Aborted once it exceeds options().optimistic_retry_limit (the
-  // caller then falls back to the copy path).
-  Result<PageId> OptimisticFindNodeAtLevel(Key key, uint32_t level,
-                                           std::vector<PageId>* stack_out,
-                                           bool wait_for_level,
-                                           int* failures) const;
-
-  // Optimistic point lookup: in-place descent to the leaf, in-place value
-  // probe, single validation covering the probe. Aborted = fall back.
-  Result<Value> OptimisticSearch(Key key, EpochManager::Guard* guard) const;
-
-  // Optimistic range scan from *next_key: harvests each leaf's relevant
-  // entries into a (thread-local) buffer, validates, then delivers. On
-  // Aborted, *next_key is the resume position for the copy fallback and
-  // *visited the pairs already delivered.
-  Status OptimisticScan(Key* next_key, Key hi,
-                        const std::function<bool(Key, Value)>& visitor,
-                        EpochManager::Guard* guard, size_t* visited) const;
-
-  // Copy-read scan loop starting at next_key with `visited` pairs already
-  // delivered; returns the final total.
-  size_t CopyScan(Key next_key, Key hi,
-                  const std::function<bool(Key, Value)>& visitor,
-                  EpochManager::Guard* guard, size_t visited) const;
-
-  // Lock the live node at `level` in whose range `ins_key` falls, starting
-  // the moveright from `start`. On return the node is paper-locked and its
-  // image is in *page. `stack` (may be null) is refreshed when a restart
-  // from the root is needed. Returns the node's page id.
-  Result<PageId> AcquireTargetNode(Key ins_key, uint32_t level, PageId start,
-                                   std::vector<PageId>* stack, int* restarts,
-                                   Page* page, bool wait_for_level = true)
-      const;
-
-  // In-place counterpart of AcquireTargetNode (the inplace_writes fast
-  // path): locks the live node WITHOUT copying its page, using a
-  // contention-aware acquisition — a bounded TryLockSpin first; if the
-  // lock stays contended through the spin budget, the routing decision is
-  // re-checked optimistically from the live image (the holder may be
-  // splitting this very node) and only a node that still looks like the
-  // target is waited for with a parking Lock. The locked
-  // inspection reads through NodeView + PeekLocked validation, because a
-  // stale page can be reused (zeroed and rewritten) underneath even a
-  // lock holder; once an image validates as the live target, the lock
-  // alone pins it, so on success *live points at the live image and
-  // plain (non-atomic) reads of it are safe until Unlock. Returns
-  // Aborted — with the lock released — when repeated validation failures
-  // exhaust options().optimistic_retry_limit; the caller then falls back
-  // to the copy path for this operation (StatId::kInplaceFallbacks).
-  Result<PageId> AcquireTargetInPlace(Key key, uint32_t level, PageId start,
-                                      std::vector<PageId>* stack,
-                                      int* restarts, const Node** live) const;
-
   // The three insertion finishers of Fig. 6. `page` is the locked image of
   // `page_id`. Either completes the logical insert or prepares (sep,
   // new_child) for the next level. All unlock `page_id` before returning.
@@ -416,7 +454,7 @@ class SagivTree {
                               uint64_t down_ptr, AscentState* st);
 
   // In-place finisher for the no-split case (requires a lock obtained via
-  // AcquireTargetInPlace): seqlock odd, apply the entry edit to the live
+  // InPlaceLock): seqlock odd, apply the entry edit to the live
   // page through relaxed atomic stores, seqlock even, unlock. One node
   // access (PageManager::BeginWrite) instead of the copy path's
   // get + put.

@@ -274,8 +274,9 @@ class NodeView {
   /// when the image is inconsistent (empty node or k past the last
   /// entry). Callers must treat kInvalidPageId as a validation failure —
   /// never follow it. (The full next(A, v) evaluation over a view — which
-  /// must also honor the deletion bit and merge pointer — lives in
-  /// SagivTree's RouteForKey.)
+  /// must also honor the deletion bit and merge pointer — is
+  /// SagivTree::RouteForKey, the one routing classifier of every descent;
+  /// it turns kInvalidPageId into a torn route that re-reads the node.)
   PageId ChildFor(Key k) const;
 
  private:

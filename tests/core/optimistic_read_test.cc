@@ -9,11 +9,14 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obtree/api/concurrent_map.h"
+#include "obtree/core/compression_queue.h"
+#include "obtree/core/queue_compressor.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/util/random.h"
 
@@ -28,21 +31,98 @@ TreeOptions SmallNodes(bool optimistic) {
 }
 
 TEST(OptimisticReadTest, OptimisticAndCopyModesAgree) {
-  SagivTree optimistic(SmallNodes(true));
-  SagivTree copy(SmallNodes(false));
+  // Both trees feed a compression queue so the delete phase below can
+  // shrink them back through merges.
+  TreeOptions optimistic_options = SmallNodes(true);
+  TreeOptions copy_options = SmallNodes(false);
+  optimistic_options.enqueue_underfull_on_delete = true;
+  copy_options.enqueue_underfull_on_delete = true;
+  SagivTree optimistic(optimistic_options);
+  SagivTree copy(copy_options);
+  CompressionQueue optimistic_queue;
+  CompressionQueue copy_queue;
+  for (auto [tree, queue] : {std::pair(&optimistic, &optimistic_queue),
+                             std::pair(&copy, &copy_queue)}) {
+    queue->RegisterWith(tree->epoch());
+    tree->AttachCompressionQueue(queue);
+  }
+  // Point lookups, range scans and batched lookups must return exactly the
+  // keys `present` admits, each with value key + 1, over either page-access
+  // policy — and the two policies must agree with each other.
+  auto expect_agree = [&](const char* phase, auto present) {
+    SCOPED_TRACE(phase);
+    std::vector<Key> probes;
+    for (Key k = 1; k <= 6002; ++k) {
+      auto vo = optimistic.Search(k);
+      auto vc = copy.Search(k);
+      ASSERT_EQ(vo.ok(), present(k)) << "optimistic " << k;
+      ASSERT_EQ(vc.ok(), present(k)) << "copy " << k;
+      if (vo.ok()) {
+        EXPECT_EQ(*vo, k + 1);
+        EXPECT_EQ(*vc, k + 1);
+      } else {
+        EXPECT_TRUE(vo.status().IsNotFound()) << k;
+        EXPECT_TRUE(vc.status().IsNotFound()) << k;
+      }
+      if (k % 5 == 0) probes.push_back(k);
+    }
+    for (auto [lo, hi] : {std::pair<Key, Key>(1, 6002), {1, 1}, {100, 400},
+                          {2999, 3301}, {5990, 9000}, {4000, 3000}}) {
+      std::vector<std::pair<Key, Value>> expected, so, sc;
+      for (Key k = lo; k <= hi; ++k) {
+        if (present(k)) expected.emplace_back(k, k + 1);
+      }
+      optimistic.Scan(lo, hi, [&](Key k, Value v) {
+        so.emplace_back(k, v);
+        return true;
+      });
+      copy.Scan(lo, hi, [&](Key k, Value v) {
+        sc.emplace_back(k, v);
+        return true;
+      });
+      EXPECT_EQ(so, expected) << "optimistic [" << lo << ", " << hi << "]";
+      EXPECT_EQ(sc, expected) << "copy [" << lo << ", " << hi << "]";
+      EXPECT_EQ(so, sc) << "[" << lo << ", " << hi << "]";
+    }
+    std::vector<Result<Value>> mo(probes.size(), Status());
+    std::vector<Result<Value>> mc(probes.size(), Status());
+    optimistic.MultiSearch(probes.data(), probes.size(), mo.data());
+    copy.MultiSearch(probes.data(), probes.size(), mc.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const Key k = probes[i];
+      ASSERT_EQ(mo[i].ok(), present(k)) << "optimistic " << k;
+      ASSERT_EQ(mc[i].ok(), present(k)) << "copy " << k;
+      if (mo[i].ok()) {
+        EXPECT_EQ(*mo[i], k + 1);
+        EXPECT_EQ(*mc[i], k + 1);
+      } else {
+        EXPECT_TRUE(mo[i].status().IsNotFound()) << k;
+        EXPECT_TRUE(mc[i].status().IsNotFound()) << k;
+      }
+    }
+  };
+
   for (Key k = 1; k <= 2000; ++k) {
     ASSERT_TRUE(optimistic.Insert(k * 3, k * 3 + 1).ok());
     ASSERT_TRUE(copy.Insert(k * 3, k * 3 + 1).ok());
   }
+  expect_agree("after inserts",
+               [](Key k) { return k % 3 == 0 && k <= 6000; });
+
+  // Delete most keys and drain the queues: the merges rewrite the link
+  // chains and separators that both policies route through.
   for (Key k = 1; k <= 2000; ++k) {
-    auto vo = optimistic.Search(k * 3);
-    auto vc = copy.Search(k * 3);
-    ASSERT_TRUE(vo.ok());
-    ASSERT_TRUE(vc.ok());
-    EXPECT_EQ(*vo, *vc);
-    EXPECT_EQ(*vo, k * 3 + 1);
-    EXPECT_TRUE(optimistic.Search(k * 3 + 1).status().IsNotFound());
+    if (k % 7 == 0) continue;
+    ASSERT_TRUE(optimistic.Delete(k * 3).ok());
+    ASSERT_TRUE(copy.Delete(k * 3).ok());
   }
+  QueueCompressor(&optimistic, &optimistic_queue).Drain();
+  QueueCompressor(&copy, &copy_queue).Drain();
+  EXPECT_GT(optimistic.stats()->Get(StatId::kMerges), 0u);
+  EXPECT_GT(copy.stats()->Get(StatId::kMerges), 0u);
+  expect_agree("after deletes and compression", [](Key k) {
+    return k % 3 == 0 && k <= 6000 && (k / 3) % 7 == 0;
+  });
 }
 
 TEST(OptimisticReadTest, OptimisticModeCountsValidations) {

@@ -11,7 +11,10 @@
 //     parent (and then before the deleted child), every key remains
 //     readable somewhere;
 //   * a reader that catches the deleted child AFTER its rewrite recovers
-//     through the merge pointer.
+//     through the merge pointer;
+//   * a reader that reaches a leaf after a redistribution moved its key
+//     left backtracks to the node it came through (§5.2) instead of
+//     restarting at the root.
 
 #include <atomic>
 #include <condition_variable>
@@ -255,6 +258,59 @@ TEST(InterleavingTest, InsertBlockedByLockProceedsAfterRelease) {
   for (Key k : {10, 11, 12, 20, 30}) ASSERT_TRUE(tree.Search(k).ok()) << k;
   Status s = TreeChecker(&tree).CheckStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(InterleavingTest, ReaderBacktracksWhenItsKeyMovesLeft) {
+  for (bool optimistic : {true, false}) {
+    SCOPED_TRACE(optimistic ? "optimistic reads" : "copy reads");
+    TreeOptions opt = K2();
+    opt.optimistic_reads = optimistic;
+    SagivTree tree(opt);
+    for (Key k = 10; k <= 80; k += 10) ASSERT_TRUE(tree.Insert(k, k).ok());
+    // Leaves are (0,40] and (40,+inf] under the root. Dropping the left
+    // leaf to one entry makes the pair redistribute (1 + 4 > capacity 4),
+    // which moves 50 into the left leaf.
+    for (Key k : {20, 30, 40}) ASSERT_TRUE(tree.Delete(k).ok());
+    ASSERT_EQ(tree.Height(), 2u);
+    const PageId left_leaf = *tree.internal_FindNodeAtLevel(10, 0, nullptr);
+    const PageId right_leaf = *tree.internal_FindNodeAtLevel(50, 0, nullptr);
+    ASSERT_NE(left_leaf, right_leaf);
+
+    // Pause the reader — and only the reader — at its get of the right
+    // leaf: the root has already routed it there.
+    static thread_local bool is_reader = false;
+    Gate gate;
+    tree.internal_pager()->SetTestHook([&](const char* op, PageId page) {
+      if (is_reader) gate.MaybeBlock(op, page);
+    });
+    gate.Arm("get", right_leaf);
+    Result<Value> found = Status::Internal("reader did not run");
+    std::thread reader([&]() {
+      is_reader = true;
+      found = tree.Search(50);
+    });
+    gate.AwaitPaused();
+
+    ScanCompressor compressor(&tree);
+    compressor.FullPass();
+    ASSERT_EQ(tree.stats()->Get(StatId::kRedistributions), 1u);
+    ASSERT_EQ(*tree.internal_FindNodeAtLevel(50, 0, nullptr), left_leaf);
+    const uint64_t restarts = tree.stats()->Get(StatId::kRestarts);
+    const uint64_t backtracks = tree.stats()->Get(StatId::kBacktracks);
+
+    // The right leaf's low value is now 50: the reader finds itself on a
+    // wrong node, retries the root, and the root's new separator sends it
+    // left.
+    gate.Release();
+    reader.join();
+    tree.internal_pager()->SetTestHook(nullptr);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(*found, 50u);
+    EXPECT_GE(tree.stats()->Get(StatId::kBacktracks), backtracks + 1);
+    EXPECT_EQ(tree.stats()->Get(StatId::kRestarts), restarts);
+    Status s = TreeChecker(&tree).CheckStructure();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
 }
 
 }  // namespace

@@ -69,7 +69,9 @@ AblationResult Run(bool paper_order) {
   ScanCompressor compressor(&tree);
   compressor.set_paper_write_order(paper_order);
   std::thread compressor_thread([&]() {
-    compressor.RunUntil(&stop, std::chrono::milliseconds(0));
+    while (!stop.load()) {
+      if (compressor.FullPass() == 0) std::this_thread::yield();
+    }
   });
 
   AblationResult result;

@@ -104,7 +104,11 @@ DeploymentResult RunQueueDeployment(int workers) {
   for (int w = 0; w < workers; ++w) {
     compressors.push_back(std::make_unique<QueueCompressor>(&tree, &queue));
     threads.emplace_back([&stop, qc = compressors.back().get()]() {
-      qc->RunUntil(&stop, std::chrono::milliseconds(0));
+      while (!stop.load()) {
+        if (qc->CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+          std::this_thread::yield();
+        }
+      }
     });
   }
   for (Key k = 1; k <= kN; ++k) {

@@ -57,10 +57,18 @@ RestartRow RunScenario(const char* label, bool with_compressors,
   ScanCompressor scanner(&tree);
   QueueCompressor drainer(&tree, &queue);
   if (with_compressors) {
-    background.emplace_back(
-        [&]() { scanner.RunUntil(&stop, std::chrono::milliseconds(0)); });
-    background.emplace_back(
-        [&]() { drainer.RunUntil(&stop, std::chrono::milliseconds(0)); });
+    background.emplace_back([&]() {
+      while (!stop.load()) {
+        if (scanner.FullPass() == 0) std::this_thread::yield();
+      }
+    });
+    background.emplace_back([&]() {
+      while (!stop.load()) {
+        if (drainer.CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+          std::this_thread::yield();
+        }
+      }
+    });
   }
 
   constexpr uint64_t kOpsPerThread = 200'000;

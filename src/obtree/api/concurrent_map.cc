@@ -18,50 +18,21 @@ ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     tree_options.enqueue_underfull_on_delete = true;
   }
   tree_ = std::make_unique<SagivTree>(tree_options);
-
-  const int workers = std::max(1, options_.compression_threads);
-  switch (options_.compression) {
-    case CompressionMode::kNone:
-      break;
-    case CompressionMode::kBackgroundScan:
-      if (pool != nullptr) {
-        pool_ = pool;
-        pool_handle_ = pool->Attach(tree_.get(), /*queue=*/nullptr);
-        break;
-      }
-      scan_compressor_ = std::make_unique<ScanCompressor>(tree_.get());
-      for (int i = 0; i < workers; ++i) {
-        workers_.emplace_back([this]() {
-          scan_compressor_->RunUntil(&stop_, std::chrono::milliseconds(2));
-        });
-      }
-      break;
-    case CompressionMode::kQueueWorkers:
-      queue_ = std::make_unique<CompressionQueue>();
-      queue_->RegisterWith(tree_->epoch());
-      tree_->AttachCompressionQueue(queue_.get());
-      if (pool != nullptr) {
-        pool_ = pool;
-        pool_handle_ = pool->Attach(tree_.get(), queue_.get());
-        break;
-      }
-      // Populate the compressor vector fully BEFORE spawning any thread:
-      // a worker indexing queue_compressors_ while a later push_back
-      // reallocates it is a data race.
-      queue_compressors_.reserve(static_cast<size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
-        queue_compressors_.push_back(
-            std::make_unique<QueueCompressor>(tree_.get(), queue_.get()));
-      }
-      for (int i = 0; i < workers; ++i) {
-        QueueCompressor* compressor =
-            queue_compressors_[static_cast<size_t>(i)].get();
-        workers_.emplace_back([this, compressor]() {
-          compressor->RunUntil(&stop_, std::chrono::milliseconds(1));
-        });
-      }
-      break;
+  if (options_.compression == CompressionMode::kNone) return;
+  if (options_.compression == CompressionMode::kQueueWorkers) {
+    queue_ = std::make_unique<CompressionQueue>();
+    queue_->RegisterWith(tree_->epoch());
+    tree_->AttachCompressionQueue(queue_.get());
   }
+  if (pool == nullptr) {
+    BackgroundPool::Options pool_options;
+    pool_options.threads = std::max(1, options_.compression_threads);
+    owned_pool_ = std::make_unique<BackgroundPool>(pool_options);
+    pool = owned_pool_.get();
+  }
+  // A null queue makes the pool maintain the tree by scan passes.
+  pool_ = pool;
+  pool_handle_ = pool->Attach(tree_.get(), queue_.get());
 }
 
 ConcurrentMap::~ConcurrentMap() { ShutdownMaintenance(); }
@@ -77,14 +48,14 @@ void ConcurrentMap::ShutdownMaintenance() noexcept {
     pool_ = nullptr;
     pool_handle_ = 0;
   }
-  stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  owned_pool_.reset();  // joins the private pool's workers, if any
   // Detach before the queue dies (the tree outlives it in this class, but
   // be explicit about the dependency).
   if (tree_ != nullptr) tree_->AttachCompressionQueue(nullptr);
+}
+
+int ConcurrentMap::background_thread_count() const {
+  return owned_pool_ != nullptr ? owned_pool_->thread_count() : 0;
 }
 
 Status ConcurrentMap::Insert(Key key, Value value) {
@@ -241,11 +212,11 @@ TreeShape ConcurrentMap::Shape() const {
 
 Status ConcurrentMap::ValidateStructure() const {
   // The exact parent/child replay is only valid on a settled tree. The
-  // caller stops its own operations; background queue compression may
-  // still be mid-rearrangement, so hold it off for the check.
-  if (queue_ != nullptr) queue_->Pause();
+  // caller stops its own operations; background compression (queue or
+  // scan) may still be mid-rearrangement, so hold it off for the check.
+  if (pool_ != nullptr) pool_->Pause(pool_handle_);
   const Status s = TreeChecker(tree_.get()).CheckStructure();
-  if (queue_ != nullptr) queue_->Resume();
+  if (pool_ != nullptr) pool_->Resume(pool_handle_);
   return s;
 }
 

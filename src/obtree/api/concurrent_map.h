@@ -1,8 +1,8 @@
 // Copyright 2026 The obtree Authors.
 //
 // ConcurrentMap: the library's primary public entry point. It bundles a
-// SagivTree with a compression deployment (Section 5's three options) and
-// manages the background threads, so applications get an ordered
+// SagivTree with a compression deployment (Section 5's three options) run
+// by a BackgroundPool, so applications get an ordered
 // key-value map with lock-free reads, single-lock writes, and automatic
 // space compaction.
 //
@@ -16,10 +16,8 @@
 #ifndef OBTREE_API_CONCURRENT_MAP_H_
 #define OBTREE_API_CONCURRENT_MAP_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "obtree/api/batch.h"
@@ -33,8 +31,6 @@
 namespace obtree {
 
 class BackgroundPool;
-class QueueCompressor;
-class ScanCompressor;
 struct TreeShape;
 
 // CompressionMode lives in core/options.h (pulled in above) so that
@@ -46,25 +42,27 @@ struct MapOptions {
   TreeOptions tree;
   /// Compression deployment.
   CompressionMode compression = CompressionMode::kQueueWorkers;
-  /// Background workers (>= 1) for the chosen compression mode.
+  /// Workers (>= 1) of the map's private BackgroundPool for the chosen
+  /// compression mode. Ignored when the map is served by a caller's pool.
   int compression_threads = 1;
 };
 
 /// Thread-safe ordered map from Key to Value.
 class ConcurrentMap {
  public:
-  /// With `pool == nullptr` (the default) the map spawns its own
-  /// options.compression_threads background workers. With a pool, the map
-  /// spawns NO threads of its own: it attaches its compression work
-  /// (queue or scan, per options.compression) to the shared
-  /// BackgroundPool, which must outlive the map. ShardedMap uses this to
-  /// serve any number of shards with one machine-sized worker set.
+  /// Unless options.compression is kNone, the map attaches its
+  /// compression work (queue or scan, per options.compression) to a
+  /// BackgroundPool. With `pool == nullptr` (the default) that is a
+  /// private pool of options.compression_threads workers the map owns.
+  /// With a pool, the map spawns NO threads of its own and the caller's
+  /// pool must outlive it; ShardedMap uses this to serve any number of
+  /// shards with one machine-sized worker set.
   explicit ConcurrentMap(const MapOptions& options = MapOptions(),
                          BackgroundPool* pool = nullptr);
 
-  /// Detaches from the shared pool (blocking until no pool worker touches
-  /// this map) or stops and joins the owned workers — in either case
-  /// before the tree or queue begins tearing down.
+  /// Detaches from the pool (blocking until no pool worker touches this
+  /// map) and joins the private pool, if any, before the tree or queue
+  /// begins tearing down.
   ~ConcurrentMap();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(ConcurrentMap);
 
@@ -192,8 +190,8 @@ class ConcurrentMap {
   TreeShape Shape() const;
 
   /// Full structural validation. Quiescent only: the caller must have
-  /// stopped its own operations; queue compression is paused (and its
-  /// in-flight tasks finished) for the duration of the check.
+  /// stopped its own operations; background compression is paused (and
+  /// its in-flight work finished) for the duration of the check.
   Status ValidateStructure() const;
 
   /// Forward cursor over the map. Resumable across concurrent inserts,
@@ -231,13 +229,12 @@ class ConcurrentMap {
   const SagivTree* tree() const { return tree_.get(); }
   CompressionQueue* queue() { return queue_.get(); }
 
-  /// Background threads THIS map owns (0 when served by a shared pool or
-  /// compression is off).
-  int background_thread_count() const {
-    return static_cast<int>(workers_.size());
-  }
+  /// Workers of this map's private pool (0 when served by a caller's
+  /// pool, when compression is off, or after Quiesce).
+  int background_thread_count() const;
 
-  /// The shared pool serving this map, or nullptr when it owns workers.
+  /// The pool serving this map (private or shared), or nullptr when
+  /// compression is off or after Quiesce.
   BackgroundPool* attached_pool() const { return pool_; }
 
   /// The handle attached_pool()'s Attach returned for this map (0 when
@@ -247,8 +244,8 @@ class ConcurrentMap {
   uint64_t pool_handle() const { return pool_handle_; }
 
   /// Permanently stop background maintenance for this map: detach from
-  /// the shared pool (blocking until no worker touches it) or join owned
-  /// workers, and detach the compression queue. The map stays fully
+  /// the pool (blocking until no worker touches it), join the private
+  /// pool if any, and detach the compression queue. The map stays fully
   /// usable — under-full nodes just stop being compacted. Idempotent.
   /// The shard rebalancer calls this on a donor tree once its last key
   /// has migrated out, so retired (empty) trees cost the pool no
@@ -257,18 +254,15 @@ class ConcurrentMap {
 
  private:
   /// Idempotent, exception-safe teardown of background maintenance:
-  /// detach from the shared pool / stop and join owned workers, then
-  /// detach the queue from the tree. Safe to call repeatedly.
+  /// detach from the pool, join the private pool, then detach the queue
+  /// from the tree. Safe to call repeatedly.
   void ShutdownMaintenance() noexcept;
 
   MapOptions options_;
   std::unique_ptr<SagivTree> tree_;
   std::unique_ptr<CompressionQueue> queue_;
-  std::unique_ptr<ScanCompressor> scan_compressor_;
-  std::vector<std::unique_ptr<QueueCompressor>> queue_compressors_;
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> workers_;
-  BackgroundPool* pool_ = nullptr;  ///< not owned; null => own workers_
+  std::unique_ptr<BackgroundPool> owned_pool_;  ///< null => caller's pool
+  BackgroundPool* pool_ = nullptr;  ///< owned_pool_ or the caller's pool
   uint64_t pool_handle_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include "obtree/core/background_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "obtree/core/compression_queue.h"
@@ -84,28 +85,51 @@ void BackgroundPool::Detach(uint64_t handle) {
   std::shared_ptr<Source> src;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = sources_.begin(); it != sources_.end(); ++it) {
-      if ((*it)->handle == handle) {
-        src = *it;
-        sources_.erase(it);
-        break;
-      }
-    }
+    src = FindLocked(handle);
+    if (src == nullptr) return;  // unknown or already detached: idempotent
+    sources_.erase(std::find(sources_.begin(), sources_.end(), src));
   }
-  if (src == nullptr) return;  // unknown or already detached: idempotent
-  // seq_cst store/load pairs with BeginWork's fetch_add/load: either the
-  // worker sees `detached` and backs out, or Detach sees its increment of
+  Hold(src.get());  // never released: the source is gone for good
+}
+
+void BackgroundPool::Pause(uint64_t handle) {
+  std::shared_ptr<Source> src;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    src = FindLocked(handle);
+  }
+  if (src != nullptr) Hold(src.get());
+}
+
+void BackgroundPool::Resume(uint64_t handle) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (const std::shared_ptr<Source> src = FindLocked(handle)) {
+    src->holds.fetch_sub(1);
+  }
+}
+
+void BackgroundPool::Hold(Source* src) {
+  // seq_cst add/load pairs with BeginWork's fetch_add/load: either the
+  // worker sees the hold and backs out, or Hold sees its increment of
   // `active` and waits for the matching EndWork.
-  src->detached.store(true);
+  src->holds.fetch_add(1);
   // Re-polling wait (not a plain wait): `active` is maintained by RAII
   // scopes so a killed worker always releases its claim, but a bounded
-  // wait keeps Detach live even across a lost wakeup or a worker torn
+  // wait keeps Hold live even across a lost wakeup or a worker torn
   // down between its decrement and its notify.
   std::unique_lock<std::mutex> lk(wake_mu_);
   while (src->active.load() != 0) {
     wake_cv_.wait_for(lk, std::chrono::milliseconds(1),
                       [&]() { return src->active.load() == 0; });
   }
+}
+
+std::shared_ptr<BackgroundPool::Source> BackgroundPool::FindLocked(
+    uint64_t handle) const {
+  for (const auto& s : sources_) {
+    if (s->handle == handle) return s;
+  }
+  return nullptr;
 }
 
 void BackgroundPool::Stop() {
@@ -164,21 +188,19 @@ PoolStatsSnapshot BackgroundPool::Stats() const {
 PoolShardStats BackgroundPool::StatsFor(uint64_t handle) const {
   PoolShardStats ps;
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& s : sources_) {
-    if (s->handle != handle) continue;
+  if (const std::shared_ptr<Source> s = FindLocked(handle)) {
     ps.handle = s->handle;
     ps.tasks_drained = s->tasks_drained.load(std::memory_order_acquire);
     ps.restructures = s->restructures.load(std::memory_order_acquire);
     ps.requeues = s->requeues.load(std::memory_order_relaxed);
     ps.boosts = s->boosts.load(std::memory_order_relaxed);
-    break;
   }
   return ps;
 }
 
 bool BackgroundPool::BeginWork(Source* src) {
-  src->active.fetch_add(1);  // seq_cst: see Detach
-  if (src->detached.load()) {
+  src->active.fetch_add(1);  // seq_cst: see Hold
+  if (src->holds.load() > 0) {
     EndWork(src);
     return false;
   }
@@ -186,7 +208,7 @@ bool BackgroundPool::BeginWork(Source* src) {
 }
 
 void BackgroundPool::EndWork(Source* src) {
-  if (src->active.fetch_sub(1) == 1 && src->detached.load()) {
+  if (src->active.fetch_sub(1) == 1 && src->holds.load() > 0) {
     std::lock_guard<std::mutex> lk(wake_mu_);
     wake_cv_.notify_all();
   }
@@ -254,7 +276,7 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
   }
 
   Source* src = local[pick].get();
-  if (!BeginWork(src)) return RoundResult::kYield;  // detached in flight
+  if (!BeginWork(src)) return RoundResult::kYield;  // detached or paused
   // RAII release of the Detach claim: EVERY exit from here on — normal
   // return, injected mid-drain kill, escaped exception — runs EndWork, so
   // a dying worker can never wedge Detach() behind a leaked `active`.

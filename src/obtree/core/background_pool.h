@@ -3,11 +3,11 @@
 // BackgroundPool: a fixed-size, machine-sized worker pool that performs
 // compression for many trees at once. Section 5.4's point is that
 // compression is decoupled from the operation path, so "a small number of
-// background processes" can serve an arbitrarily large structure; this
-// class realizes that for the sharded deployment. Instead of every
-// ConcurrentMap spawning its own compression_threads workers (N shards =>
-// N x threads, oversubscribing cores exactly when shard counts grow), one
-// pool sized to the machine drains every shard's CompressionQueue.
+// background processes" can serve an arbitrarily large structure. This
+// class is the only thing that runs background compression: a standalone
+// ConcurrentMap owns a private pool of compression_threads workers, and a
+// ShardedMap shares one machine-sized pool across every shard, so the
+// background-thread count stays fixed however many shards exist.
 //
 //   shard 0 queue ---+
 //   shard 1 queue ---+--> [ worker ] [ worker ] ... (pool_threads total)
@@ -26,9 +26,10 @@
 // Cold shards keep their round-robin turns in both cases, so a hot shard
 // can never starve them. Workers sleep when every queue is empty.
 //
-// Attach/Detach are thread-safe and callable while the pool runs. Detach
-// is idempotent and blocks until no worker is touching the shard, which
-// makes it safe to call from a map destructor before the tree dies.
+// Attach/Detach/Pause/Resume are thread-safe and callable while the pool
+// runs. Detach is idempotent and blocks until no worker is touching the
+// shard, which makes it safe to call from a map destructor before the
+// tree dies; Pause blocks the same way but is undone by Resume.
 
 #ifndef OBTREE_CORE_BACKGROUND_POOL_H_
 #define OBTREE_CORE_BACKGROUND_POOL_H_
@@ -104,6 +105,13 @@ class BackgroundPool {
   /// unknown or already-detached handles are ignored. Thread-safe.
   void Detach(uint64_t handle);
 
+  /// Hold off a shard's maintenance: workers skip it, and Pause blocks
+  /// until none is processing it, so no compression of the shard is
+  /// mid-rearrangement until the matching Resume. Pauses nest. Unknown
+  /// or detached handles are ignored. Thread-safe.
+  void Pause(uint64_t handle);
+  void Resume(uint64_t handle);
+
   /// Stop and join all workers. Idempotent. Attached shards stay
   /// registered (Detach still works) but receive no further service.
   void Stop();
@@ -124,9 +132,10 @@ class BackgroundPool {
 
  private:
   /// One attached shard. Kept alive by shared_ptr until the last worker
-  /// snapshot drops it; `active`/`detached` implement the Detach handshake
-  /// (the pointers in here are only dereferenced between a successful
-  /// BeginWork and the matching EndWork).
+  /// snapshot drops it; `active`/`holds` implement the Detach and Pause
+  /// handshake (the pointers in here are only dereferenced between a
+  /// successful BeginWork and the matching EndWork). Detach takes a hold
+  /// it never releases; Pause takes one that Resume releases.
   struct Source {
     uint64_t handle = 0;
     SagivTree* tree = nullptr;
@@ -134,7 +143,7 @@ class BackgroundPool {
     std::unique_ptr<QueueCompressor> drainer;   // stateless; shared by workers
     std::unique_ptr<ScanCompressor> scanner;    // stateless; shared by workers
     std::atomic<int> active{0};
-    std::atomic<bool> detached{false};
+    std::atomic<int> holds{0};
     std::atomic<uint64_t> tasks_drained{0};
     std::atomic<uint64_t> restructures{0};
     std::atomic<uint64_t> requeues{0};
@@ -162,10 +171,15 @@ class BackgroundPool {
   void SupervisorLoop();
   RoundResult RunOneRound();
 
-  /// active++ unless the source is detached; returns false without side
-  /// effects visible to Detach if it is.
+  /// active++ unless the source is held (detached or paused); returns
+  /// false without side effects visible to Hold if it is.
   bool BeginWork(Source* src);
   void EndWork(Source* src);
+
+  /// Take a hold on `src` and wait until no worker is processing it.
+  void Hold(Source* src);
+  /// The attached source with `handle`, or null. Caller holds mu_.
+  std::shared_ptr<Source> FindLocked(uint64_t handle) const;
 
   Options options_;
   int threads_started_ = 0;

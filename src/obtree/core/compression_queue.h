@@ -16,7 +16,7 @@
 #ifndef OBTREE_CORE_COMPRESSION_QUEUE_H_
 #define OBTREE_CORE_COMPRESSION_QUEUE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <mutex>
@@ -52,16 +52,9 @@ class CompressionQueue {
   void Push(CompressionTask task, bool update_if_present);
 
   /// Remove and return the queued task with the highest level (footnote
-  /// 17: compress parents before children). Returns false when empty or
-  /// paused. The task's stamp remains accounted in MinStamp() until
-  /// FinishTask.
+  /// 17: compress parents before children). Returns false when empty.
+  /// The task's stamp remains accounted in MinStamp() until FinishTask.
   bool Pop(CompressionTask* out);
-
-  /// Stop handing out tasks and wait until every popped task is finished,
-  /// so no compressor of this queue is mid-rearrangement until Resume().
-  /// Pauses nest. Structure validation uses it to see a settled tree.
-  void Pause();
-  void Resume();
 
   /// Declare that a popped task is no longer being worked on (its stack is
   /// dead). Must be called exactly once per successful Pop, after any
@@ -73,7 +66,9 @@ class CompressionQueue {
   bool Remove(PageId node);
 
   bool Contains(PageId node) const;
-  size_t Size() const;
+  /// Queued tasks. Lock-free: the pool's depth probes read it every
+  /// scheduling round and must not contend with deleters' Push.
+  size_t Size() const { return size_.load(std::memory_order_acquire); }
   bool Empty() const { return Size() == 0; }
 
   /// Oldest stamp held by queued or in-flight tasks; kMaxTimestamp if none.
@@ -88,8 +83,7 @@ class CompressionQueue {
   mutable std::mutex mu_;
   std::map<PageId, CompressionTask> tasks_;
   std::multiset<Timestamp> in_flight_;
-  int paused_ = 0;
-  std::condition_variable no_in_flight_;  // signalled when in_flight_ empties
+  std::atomic<size_t> size_{0};  ///< tasks_.size(), written under mu_
 };
 
 }  // namespace obtree

@@ -268,17 +268,4 @@ size_t QueueCompressor::Drain(int max_stall) {
   return work;
 }
 
-void QueueCompressor::RunUntil(const std::atomic<bool>* stop,
-                               std::chrono::milliseconds idle_sleep) {
-  while (!stop->load(std::memory_order_acquire)) {
-    const Outcome outcome = CompressOne();
-    if (outcome == Outcome::kQueueEmpty &&
-        !stop->load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(idle_sleep);
-    } else if (outcome == Outcome::kRequeued) {
-      std::this_thread::yield();
-    }
-  }
-}
-
 }  // namespace obtree

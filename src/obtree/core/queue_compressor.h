@@ -10,15 +10,13 @@
 // child is collapsed.
 //
 // All three deployments of §5.4 are expressible:
-//   (1) one compressor owning one queue;
-//   (2) several compressors sharing one queue (spawn several workers);
+//   (1) one compressor owning one queue (a BackgroundPool of one worker);
+//   (2) several compressors sharing one queue (a pool of several);
 //   (3) a private queue per deletion burst (construct ad hoc and Drain).
 
 #ifndef OBTREE_CORE_QUEUE_COMPRESSOR_H_
 #define OBTREE_CORE_QUEUE_COMPRESSOR_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 
 #include "obtree/core/compression_queue.h"
@@ -54,11 +52,6 @@ class QueueCompressor {
   /// make no progress (every attempt requeues). Returns the number of
   /// restructurings performed.
   size_t Drain(int max_stall = 256);
-
-  /// Background worker loop: drain, sleep when idle, until *stop.
-  void RunUntil(const std::atomic<bool>* stop,
-                std::chrono::milliseconds idle_sleep =
-                    std::chrono::milliseconds(1));
 
  private:
   Outcome ProcessTask(CompressionTask task);

@@ -257,14 +257,4 @@ size_t ScanCompressor::FullPass() {
   return work;
 }
 
-void ScanCompressor::RunUntil(const std::atomic<bool>* stop,
-                              std::chrono::milliseconds idle_sleep) {
-  while (!stop->load(std::memory_order_acquire)) {
-    const size_t work = FullPass();
-    if (work == 0 && !stop->load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(idle_sleep);
-    }
-  }
-}
-
 }  // namespace obtree

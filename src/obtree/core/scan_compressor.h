@@ -11,8 +11,6 @@
 #ifndef OBTREE_CORE_SCAN_COMPRESSOR_H_
 #define OBTREE_CORE_SCAN_COMPRESSOR_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 
 #include "obtree/core/rearrange.h"
@@ -35,13 +33,6 @@ class ScanCompressor {
   /// compress-level for every level bottom-up, then collapse the root.
   /// Returns merges + redistributions + levels removed.
   size_t FullPass();
-
-  /// Run FullPass in a loop until *stop becomes true, sleeping
-  /// `idle_sleep` after a pass that found nothing to do. Intended to be the
-  /// body of a background std::thread (the paper's "low priority job").
-  void RunUntil(const std::atomic<bool>* stop,
-                std::chrono::milliseconds idle_sleep =
-                    std::chrono::milliseconds(1));
 
   /// E10 ablation switch — see RearrangeContext::paper_write_order.
   /// Never disable outside the ablation bench.

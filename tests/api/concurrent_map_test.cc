@@ -2,6 +2,7 @@
 
 #include "obtree/api/concurrent_map.h"
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include "obtree/core/background_pool.h"
 #include "obtree/core/tree_checker.h"
+#include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -105,6 +107,7 @@ TEST(ConcurrentMapTest, ConcurrentMixedWithBackgroundWorkers) {
   MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers, 2);
   opt.compression_threads = 2;
   ConcurrentMap map(opt);
+  EXPECT_EQ(map.background_thread_count(), 2);  // the private pool's size
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&map, t]() {
@@ -234,6 +237,33 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
   EXPECT_EQ(scanned.background_thread_count(), 0);
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(scanned.Insert(k, k).ok());
   EXPECT_TRUE(scanned.ValidateStructure().ok());
+}
+
+TEST(ConcurrentMapTest, StandaloneMapSelfHealsOnItsPrivatePool) {
+  // A map built without a caller pool runs its compression on a private
+  // BackgroundPool, so it inherits the pool's supervisor: a killed worker
+  // is respawned and the queue still drains with no CompressNow().
+  ConcurrentMap map(SmallNodes(CompressionMode::kQueueWorkers, 2));
+  ASSERT_NE(map.attached_pool(), nullptr);
+  for (Key k = 1; k <= 3000; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
+
+  FaultSpec kill;
+  kill.action = FaultAction::kError;
+  kill.max_fires = 1;
+  FaultInjector::Instance().Arm("pool-worker", kill);
+  for (Key k = 1; k <= 3000; ++k) ASSERT_TRUE(map.Erase(k).ok());
+
+  using std::chrono::milliseconds;
+  const auto until = std::chrono::steady_clock::now() + milliseconds(10'000);
+  while ((map.attached_pool()->Stats().worker_respawns < 1 ||
+          !map.queue()->Empty()) &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  FaultInjector::Instance().DisarmAll();
+  EXPECT_GE(map.attached_pool()->Stats().worker_respawns, 1u);
+  EXPECT_TRUE(map.queue()->Empty());
+  EXPECT_TRUE(map.ValidateStructure().ok());
 }
 
 TEST(ConcurrentMapTest, StatsExposed) {

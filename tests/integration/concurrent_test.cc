@@ -168,8 +168,11 @@ TEST(ConcurrentCompressionTest, ScanCompressorRunsAlongsideUpdaters) {
   SagivTree tree(SmallNodes(3));
   std::atomic<bool> stop{false};
   ScanCompressor compressor(&tree);
-  std::thread compressor_thread(
-      [&]() { compressor.RunUntil(&stop, std::chrono::milliseconds(0)); });
+  std::thread compressor_thread([&]() {
+    while (!stop.load()) {
+      if (compressor.FullPass() == 0) std::this_thread::yield();
+    }
+  });
 
   const int threads = std::min(6, HardwareThreads());
   constexpr int kOpsPerThread = 20000;
@@ -223,7 +226,11 @@ TEST(ConcurrentCompressionTest, MultipleQueueCompressorsSharedQueue) {
   for (int c = 0; c < kCompressors; ++c) {
     workers_c.push_back(std::make_unique<QueueCompressor>(&tree, &queue));
     compressors.emplace_back([&stop, qc = workers_c.back().get()]() {
-      qc->RunUntil(&stop, std::chrono::milliseconds(0));
+      while (!stop.load()) {
+        if (qc->CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+          std::this_thread::yield();
+        }
+      }
     });
   }
 
@@ -277,8 +284,13 @@ TEST(ConcurrentCompressionTest, ScansSurviveCompression) {
 
   std::atomic<bool> stop{false};
   QueueCompressor qc(&tree, &queue);
-  std::thread compressor(
-      [&]() { qc.RunUntil(&stop, std::chrono::milliseconds(0)); });
+  std::thread compressor([&]() {
+    while (!stop.load()) {
+      if (qc.CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+        std::this_thread::yield();
+      }
+    }
+  });
   std::thread deleter([&]() {
     // Delete even keys while scanners run.
     for (Key k = 2; k <= 5000; k += 2) ASSERT_TRUE(tree.Delete(k).ok());
@@ -325,11 +337,25 @@ TEST(DeadlockTest, TinyNodesMaximumContention) {
   ScanCompressor sc(&tree);
   QueueCompressor qc1(&tree, &queue);
   QueueCompressor qc2(&tree, &queue);
-  std::thread t1([&]() { sc.RunUntil(&stop, std::chrono::milliseconds(0)); });
-  std::thread t2(
-      [&]() { qc1.RunUntil(&stop, std::chrono::milliseconds(0)); });
-  std::thread t3(
-      [&]() { qc2.RunUntil(&stop, std::chrono::milliseconds(0)); });
+  std::thread t1([&]() {
+    while (!stop.load()) {
+      if (sc.FullPass() == 0) std::this_thread::yield();
+    }
+  });
+  std::thread t2([&]() {
+    while (!stop.load()) {
+      if (qc1.CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::thread t3([&]() {
+    while (!stop.load()) {
+      if (qc2.CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+        std::this_thread::yield();
+      }
+    }
+  });
 
   const int threads = std::min(8, HardwareThreads());
   std::vector<std::thread> updaters;
@@ -370,8 +396,13 @@ TEST(ReclamationTest, NoPageReusedUnderActiveGuards) {
 
   std::atomic<bool> stop{false};
   QueueCompressor qc(&tree, &queue);
-  std::thread compressor(
-      [&]() { qc.RunUntil(&stop, std::chrono::milliseconds(0)); });
+  std::thread compressor([&]() {
+    while (!stop.load()) {
+      if (qc.CompressOne() == QueueCompressor::Outcome::kQueueEmpty) {
+        std::this_thread::yield();
+      }
+    }
+  });
 
   std::atomic<bool> failed{false};
   std::thread churner([&]() {

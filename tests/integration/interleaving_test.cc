@@ -14,15 +14,19 @@
 //     through the merge pointer;
 //   * a reader that reaches a leaf after a redistribution moved its key
 //     left backtracks to the node it came through (§5.2) instead of
-//     restarting at the root.
+//     restarting at the root;
+//   * ConcurrentMap::ValidateStructure waits out a merge its background
+//     scan worker has half written instead of checking the torn tree.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "obtree/api/concurrent_map.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/core/scan_compressor.h"
 #include "obtree/core/tree_checker.h"
@@ -311,6 +315,50 @@ TEST(InterleavingTest, ReaderBacktracksWhenItsKeyMovesLeft) {
     Status s = TreeChecker(&tree).CheckStructure();
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
+}
+
+TEST(InterleavingTest, ValidateStructureWaitsForHalfWrittenScanMerge) {
+  // Only the map's pool worker may block in the hook: this thread and
+  // the validator are excluded.
+  static thread_local bool is_test_thread = false;
+  is_test_thread = true;
+  Gate gate;  // outlives the map, whose hook refers to it
+  MapOptions options;
+  options.tree.min_entries = 2;
+  options.compression = CompressionMode::kBackgroundScan;
+  ConcurrentMap map(options);
+
+  // Descending inserts split at the midpoint, so no leaf is ever under
+  // k entries and the worker finds nothing to do: [20,30,40] [50,60].
+  for (Key k = 60; k >= 20; k -= 10) ASSERT_TRUE(map.Insert(k, k).ok());
+  ASSERT_EQ(map.Height(), 2u);
+  ASSERT_TRUE(map.Erase(30).ok());  // [20,40]: still k entries
+
+  // The merge writes put(left), put(parent), put(right). Stop the worker
+  // before put(parent): the left leaf already holds every key while the
+  // parent still routes to both leaves.
+  const PageId parent = map.tree()->internal_prime()->Read().root();
+  map.tree()->internal_pager()->SetTestHook([&](const char* op, PageId page) {
+    if (!is_test_thread) gate.MaybeBlock(op, page);
+  });
+  gate.Arm("put", parent);
+  ASSERT_TRUE(map.Erase(50).ok());  // [60] is under-full; 2 + 1 fit one leaf
+  gate.AwaitPaused();
+
+  std::atomic<bool> returned{false};
+  Status status = Status::Internal("validator did not run");
+  std::thread validator([&]() {
+    is_test_thread = true;
+    status = map.ValidateStructure();
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(returned.load())
+      << "ValidateStructure returned while a merge was half written";
+  gate.Release();
+  validator.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GE(map.Stats().Get(StatId::kMerges), 1u);
 }
 
 }  // namespace

@@ -3,26 +3,17 @@
 // E11 — multi-core scaling of the ShardedMap front-end. A single tree
 // funnels every operation through one root and serializes contending
 // updaters on hot nodes; partitioning the key space across N independent
-// trees splits that contention N ways. Expectation: on the uniform mixed
-// workload, 4 shards at 8 threads beat 1 shard by >= 1.5x on a
-// multi-core host; the shard-hot-spot adversary (90% of traffic on one
-// shard's range) collapses the gain, and the global-lock baseline trails
-// everything.
+// trees splits that contention N ways. E11a–c are record-only: they show
+// where a fixed range partition pays off against one tree (E11a, the
+// uniform mixed workload; E11b, with simulated page I/O) and where it
+// does not (E11c, the shard-hot-spot adversary aims 90% of traffic at
+// one shard's range). The global-lock baseline trails everything.
 //
 // E11d — the shared BackgroundPool under a compression-active
 // read-mostly mix at 8 and 16 shards. The pool serves every shard with a
 // fixed machine-sized worker set. The claim, gated by CI's pool-scaling
 // job via BENCH_sharding.json: the background-thread count stays at
 // pool_threads regardless of shard count.
-//
-// E11e — online rebalancing vs the shard-hot-spot adversary. E11c shows
-// range partitioning's known weakness: aim 90% of traffic at one shard's
-// range and the static layout degenerates to a single tree. The
-// ShardRebalancer reads the same telemetry CI collects (op deltas, lock
-// contention, pool drain/boost rates), splits the hot shard at its median
-// stored key, and repeats until traffic spreads. Gate, via
-// BENCH_sharding.json: rebalancer-on beats rebalancer-off by >= 1.3x at 8
-// threads on a >= 4-CPU host (record-only on smaller runners).
 //
 // Rows: thread counts. Columns: Kops/s per target. One table per mix.
 // Every cell is also recorded to BENCH_sharding.json for the CI artifact.
@@ -67,15 +58,7 @@ struct PoolGate {
   double shared_read_mostly_8s_kops = 0;
 };
 
-/// The rebalancing gate numbers (E11e), consumed by CI.
-struct RebalanceGate {
-  double off_kops = 0;        ///< static 4-shard layout, hotspot adversary
-  double on_kops = 0;         ///< rebalancer enabled, same adversary
-  uint32_t final_shards = 0;  ///< shard count after the rebalanced run
-};
-
-void WriteJson(const char* path, bool quick, const PoolGate& gate,
-               const RebalanceGate& rebalance) {
+void WriteJson(const char* path, bool quick, const PoolGate& gate) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -89,15 +72,7 @@ void WriteJson(const char* path, bool quick, const PoolGate& gate,
                gate.shared_bg_threads_16_shards);
   std::fprintf(f, "  \"read_mostly_8_shards_shared_pool_kops\": %.1f,\n",
                gate.shared_read_mostly_8s_kops);
-  const double speedup = rebalance.off_kops > 0
-                             ? rebalance.on_kops / rebalance.off_kops
-                             : 0.0;
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"rebalance_off_kops\": %.1f,\n", rebalance.off_kops);
-  std::fprintf(f, "  \"rebalance_on_kops\": %.1f,\n", rebalance.on_kops);
-  std::fprintf(f, "  \"rebalance_final_shards\": %u,\n",
-               rebalance.final_shards);
-  std::fprintf(f, "  \"rebalance_hotspot_speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"configs\": [\n");
   const std::vector<JsonSample>& samples = Samples();
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -262,86 +237,6 @@ PoolGate RunPoolCells(uint64_t ops_per_thread, Key key_space,
   return gate;
 }
 
-// ------------------------------------------------------------------- E11e
-
-struct RebalanceRun {
-  double kops = 0;
-  uint32_t final_shards = 0;
-  uint64_t splits = 0;
-  uint64_t keys_migrated = 0;
-};
-
-/// Run the shard-hot-spot adversary against a 4-shard map, with or
-/// without the online rebalancer. Best-of-`repeats` (the gated speedup
-/// must not flap on CI-host noise).
-RebalanceRun RebalancedHotspotKops(const WorkloadSpec& spec, bool rebalance,
-                                   int threads, uint64_t ops_per_thread,
-                                   int repeats) {
-  RebalanceRun best;
-  for (int r = 0; r < repeats; ++r) {
-    ShardOptions options;
-    options.tree = BenchTreeOptions();
-    options.num_shards = 4;
-    options.key_space_hint = spec.key_space;
-    options.compression = CompressionMode::kNone;  // isolate routing cost
-    options.rebalance.enabled = rebalance;
-    options.rebalance.period_ms = 5;
-    options.rebalance.hotness_threshold = 1.5;
-    options.rebalance.cold_threshold = 0.4;
-    options.rebalance.max_shards = 16;
-    options.rebalance.min_ops_per_period = 2048;
-    options.rebalance.min_keys_to_split = 64;
-    options.rebalance.migration_batch = 256;
-    options.rebalance.cooldown_periods = 1;
-    ShardedMap map(options);
-    PreloadTree(&map, spec, 4);
-    const DriverResult result =
-        RunWorkload(&map, spec, threads, ops_per_thread, /*seed=*/7 + r);
-    const double kops = result.MopsPerSec() * 1000.0;
-    if (kops > best.kops) {
-      best.kops = kops;
-      best.final_shards = map.num_shards();
-      const StatsSnapshot stats = map.Stats();
-      best.splits = stats.Get(StatId::kRebalanceSplits);
-      best.keys_migrated = stats.Get(StatId::kKeysMigrated);
-    }
-  }
-  return best;
-}
-
-RebalanceGate RunRebalanceComparison(uint64_t ops_per_thread, Key key_space,
-                                     int repeats) {
-  RebalanceGate gate;
-  WorkloadSpec spec = WorkloadSpec::ShardHotSpot(4);
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  const int fg_threads = 8;
-
-  const RebalanceRun off = RebalancedHotspotKops(
-      spec, /*rebalance=*/false, fg_threads, ops_per_thread, repeats);
-  const RebalanceRun on = RebalancedHotspotKops(
-      spec, /*rebalance=*/true, fg_threads, ops_per_thread, repeats);
-  gate.off_kops = off.kops;
-  gate.on_kops = on.kops;
-  gate.final_shards = on.final_shards;
-
-  Table table({"rebalancer", "Kops/s", "final shards", "splits",
-               "keys migrated"});
-  table.AddRow({"off", Fmt(off.kops), Fmt(static_cast<uint64_t>(4)), "-",
-                "-"});
-  table.AddRow({"on", Fmt(on.kops),
-                Fmt(static_cast<uint64_t>(on.final_shards)), Fmt(on.splits),
-                Fmt(on.keys_migrated)});
-  table.Print();
-  std::printf(
-      "(speedup on/off = %.2fx; the CI gate wants >= 1.3x at 8 threads on "
-      "a >= 4-CPU host)\n\n",
-      off.kops > 0 ? on.kops / off.kops : 0.0);
-  Record("e11e/hotspot_rebalance_off", fg_threads, off.kops);
-  Record("e11e/hotspot_rebalance_on", fg_threads, on.kops);
-  return gate;
-}
-
 }  // namespace
 }  // namespace obtree
 
@@ -358,8 +253,8 @@ int main(int argc, char** argv) {
   PrintBanner(
       "E11a: shard scaling, insert+search uniform mix",
       "disjoint key ranges never share tree state, so N shards split root "
-      "and leaf-lock contention N ways; the x4/x1 column is the headline "
-      "scaling claim (>= 1.5x at 8 threads on a multi-core host)");
+      "and leaf-lock contention N ways; the x4/x1 column records what the "
+      "partition buys over one shard (record-only)");
   WorkloadSpec mix = WorkloadSpec::Mixed5050();
   mix.name = "insert+search(50/25/25,uniform)";
   RunMix(mix, threads, 0, mem_ops, key_space);
@@ -391,15 +286,6 @@ int main(int argc, char** argv) {
   const PoolGate gate = RunPoolCells(mem_ops, key_space,
                                           /*repeats=*/quick ? 3 : 1);
 
-  PrintBanner(
-      "E11e: online rebalancing vs the shard-hot-spot adversary",
-      "the rebalancer reads pool telemetry and per-shard op/contention "
-      "deltas, splits the hot shard at its median stored key, and repeats "
-      "until the 90%-on-one-shard adversary is spread across many trees; "
-      "rebalancer-off is the E11c collapse it must beat");
-  const RebalanceGate rebalance =
-      RunRebalanceComparison(mem_ops, key_space, /*repeats=*/3);
-
-  WriteJson("BENCH_sharding.json", quick, gate, rebalance);
+  WriteJson("BENCH_sharding.json", quick, gate);
   return 0;
 }

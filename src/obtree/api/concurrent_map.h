@@ -237,19 +237,11 @@ class ConcurrentMap {
   /// compression is off or after Quiesce.
   BackgroundPool* attached_pool() const { return pool_; }
 
-  /// The handle attached_pool()'s Attach returned for this map (0 when
-  /// not pool-served). Join key for the per-shard rows of
-  /// BackgroundPool::Stats()/StatsFor — snapshot rows are in attach
-  /// order, not shard order.
-  uint64_t pool_handle() const { return pool_handle_; }
-
   /// Permanently stop background maintenance for this map: detach from
   /// the pool (blocking until no worker touches it), join the private
   /// pool if any, and detach the compression queue. The map stays fully
   /// usable — under-full nodes just stop being compacted. Idempotent.
-  /// The shard rebalancer calls this on a donor tree once its last key
-  /// has migrated out, so retired (empty) trees cost the pool no
-  /// round-robin turns.
+  /// Freezes the structure for checks that need quiescence.
   void Quiesce() { ShutdownMaintenance(); }
 
  private:

@@ -185,19 +185,6 @@ PoolStatsSnapshot BackgroundPool::Stats() const {
   return snap;
 }
 
-PoolShardStats BackgroundPool::StatsFor(uint64_t handle) const {
-  PoolShardStats ps;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (const std::shared_ptr<Source> s = FindLocked(handle)) {
-    ps.handle = s->handle;
-    ps.tasks_drained = s->tasks_drained.load(std::memory_order_acquire);
-    ps.restructures = s->restructures.load(std::memory_order_acquire);
-    ps.requeues = s->requeues.load(std::memory_order_relaxed);
-    ps.boosts = s->boosts.load(std::memory_order_relaxed);
-  }
-  return ps;
-}
-
 bool BackgroundPool::BeginWork(Source* src) {
   src->active.fetch_add(1);  // seq_cst: see Hold
   if (src->holds.load() > 0) {
@@ -323,7 +310,7 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     }
     // Boosts/steals count scheduling decisions (off-turn PICKS), not
     // tasks — one per pick that found work, matching the pool-wide
-    // boosts_/steals_ counters and the rebalancer's hot-shard signal.
+    // boosts_/steals_ counters.
     if (off_turn && drained_any) {
       src->boosts.fetch_add(1, std::memory_order_relaxed);
       src->tree->stats()->Add(StatId::kPoolBoosts);

@@ -122,14 +122,6 @@ class BackgroundPool {
   /// Point-in-time counters (monotone while the pool lives).
   PoolStatsSnapshot Stats() const;
 
-  /// Point-in-time counters of ONE attached shard, looked up by the
-  /// handle Attach returned (ConcurrentMap::pool_handle()). Cheaper than
-  /// Stats() when a caller — e.g. the shard rebalancer building its
-  /// per-shard load snapshot — wants a single shard's drain/boost rates
-  /// rather than the whole pool. Returns a zeroed slice (handle == 0)
-  /// for unknown or detached handles.
-  PoolShardStats StatsFor(uint64_t handle) const;
-
  private:
   /// One attached shard. Kept alive by shared_ptr until the last worker
   /// snapshot drops it; `active`/`holds` implement the Detach and Pause

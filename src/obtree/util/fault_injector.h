@@ -4,7 +4,7 @@
 //
 // A *failpoint site* is a short string naming a place in the code that can
 // misbehave ("get", "put", "alloc", "pool-worker", "pool-drain",
-// "migration-batch", ...). Sites share the naming scheme of the PageManager
+// "store-write", ...). Sites share the naming scheme of the PageManager
 // test hooks: the hook op string IS the failpoint site name, so a test can
 // observe and perturb the same program point with one vocabulary.
 //

@@ -25,8 +25,8 @@ namespace obtree {
 /// Attribution rules (who increments what, and on which tree):
 ///   * Physical counters (kGets/kPuts/kLocks*/kInplace*/kWriteBytes*)
 ///     count PAGE-LAYER events and accrue on the tree that owns the page,
-///     regardless of which thread — user op, compressor, pool worker, or
-///     migration — touched it.
+///     regardless of which thread — user op, compressor, or pool worker —
+///     touched it.
 ///   * Logical counters (kSearches/kInserts/kDeletes, kBatchOps) count one
 ///     per USER-LEVEL call on the tree the call was routed to, before the
 ///     operation runs — a restarted or failed op still counts once, never
@@ -37,8 +37,6 @@ namespace obtree {
 ///     side, so rates are hits / (hits + misses) with no double counting.
 ///     A fast-path miss also proceeds down the normal path, where it may
 ///     increment that path's counters — misses are not failures.
-///   * Rebalancer counters name their tree explicitly in the comments
-///     below (donor vs receiver); map-level aggregation sums all shards.
 enum class StatId : int {
   kGets = 0,             ///< page reads (the paper's get)
   kPuts,                 ///< page writes (the paper's put)
@@ -106,17 +104,6 @@ enum class StatId : int {
                          ///< a shared BackgroundPool worker
   kPoolBoosts,           ///< pool picks of this tree that bypassed the
                          ///< round-robin order (depth boost or work steal)
-  kRebalanceSplits,      ///< shard splits the rebalancer performed
-                         ///< (attributed to the new tree that received the
-                         ///< hot shard's upper half)
-  kRebalanceMerges,      ///< shard merges the rebalancer performed
-                         ///< (attributed to the surviving left tree)
-  kKeysMigrated,         ///< keys the rebalancer moved between trees
-                         ///< (attributed to the donor they moved out of)
-  kMigrationRetries,     ///< operations that landed on a migration's
-                         ///< in-flight batch window and waited it out
-                         ///< before the second lookup (attributed to the
-                         ///< donor tree)
   kFaultsInjected,       ///< faults fired into this tree's page layer by
                          ///< the FaultInjector (errors only; stalls are
                          ///< invisible here)
@@ -124,15 +111,6 @@ enum class StatId : int {
                          ///< result (bounded retry-with-backoff)
   kFetchGiveups,         ///< fetches that exhausted the retry budget and
                          ///< surfaced Unavailable to the operation
-  kMigrationAborts,      ///< shard migrations abandoned (deadline or
-                         ///< retry exhaustion) and rolled back to the
-                         ///< donor (attributed to the original donor)
-  kMigrationRollbackKeys,  ///< keys moved back to their original tree by
-                           ///< a migration rollback
-  kRebalanceBreakerTrips,  ///< times the rebalancer circuit breaker
-                           ///< opened after max_consecutive_failures
-                           ///< (summed into ShardedMap::Stats() from the
-                           ///< rebalancer; not counted on any one tree)
   kSearches,             ///< logical search operations
   kInserts,              ///< logical insert operations
   kDeletes,              ///< logical delete operations
@@ -202,20 +180,17 @@ struct StatsSnapshot {
 };
 
 /// Per-attached-shard slice of a BackgroundPool stats snapshot
-/// (core/background_pool.h). This is the per-shard half of the
-/// rebalancer's load signal (core/shard_rebalancer.h): a shard whose
-/// drain/boost counters grow much faster than its peers' is receiving a
-/// disproportionate share of deletion churn.
+/// (core/background_pool.h). A shard whose drain/boost counters grow
+/// much faster than its peers' is receiving a disproportionate share of
+/// deletion churn.
 ///
 /// All counters are plain event COUNTS (no units) cumulative since
 /// Attach, and are monotone non-decreasing for as long as the shard stays
 /// attached; Detach discards them (a re-Attach starts from zero under a
 /// new handle). Consumers that want rates must snapshot twice and diff.
 struct PoolShardStats {
-  /// The identifier Attach returned for this shard. Join key for mapping
-  /// a snapshot row back to the ConcurrentMap it describes
-  /// (ConcurrentMap::pool_handle()); handles are unique per pool and
-  /// never reused.
+  /// The identifier Attach returned for this shard; handles are unique
+  /// per pool and never reused.
   uint64_t handle = 0;
   uint64_t tasks_drained = 0;  ///< queue entries processed for this shard
                                ///< (all outcomes: restructure, requeue,

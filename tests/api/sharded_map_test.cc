@@ -324,6 +324,47 @@ TEST(ShardedMapTest, HugeKeySpaceHintDoesNotOverflowRouting) {
   EXPECT_EQ(*map.Get(kMaxUserKey), 9u);
   EXPECT_EQ(map.shard(0)->Size(), 1u);
   EXPECT_EQ(map.shard(3)->Size(), 1u);
+
+  // Scan segment bounds are derived from the shard width, so the last
+  // lower bounds sit near 2^64: every boundary key, both sides, must be
+  // found by scans that cross or start inside the top shards.
+  for (uint32_t s = 1; s < 4; ++s) {
+    EXPECT_LT(map.ShardLowerBound(s - 1), map.ShardLowerBound(s));
+    EXPECT_EQ(map.ShardIndex(map.ShardLowerBound(s)), s);
+    EXPECT_EQ(map.ShardIndex(map.ShardLowerBound(s) - 1), s - 1);
+  }
+  const Key last_lo = map.ShardLowerBound(3);
+  std::vector<Key> keys = {1,
+                           map.ShardLowerBound(1) - 1,
+                           map.ShardLowerBound(1),
+                           map.ShardLowerBound(2),
+                           last_lo - 1,
+                           last_lo,
+                           last_lo + 5,
+                           kMaxUserKey - 1,
+                           kMaxUserKey};
+  for (Key k : keys) {
+    const Status st = map.Insert(k, k ^ 0x5a);
+    ASSERT_TRUE(st.ok() || st.IsAlreadyExists()) << k;
+    ASSERT_TRUE(map.Upsert(k, k ^ 0x5a).ok()) << k;
+  }
+  const auto scanned = [&map](Key lo, Key hi) {
+    std::vector<Key> out;
+    map.Scan(lo, hi, [&out](Key k, Value v) {
+      EXPECT_EQ(v, k ^ 0x5a) << k;
+      out.push_back(k);
+      return true;
+    });
+    return out;
+  };
+  EXPECT_EQ(scanned(1, kMaxUserKey), keys);
+  EXPECT_EQ(scanned(last_lo + 1, kMaxUserKey),
+            std::vector<Key>(keys.end() - 3, keys.end()));
+  std::vector<Key> page;
+  for (const auto& kv : map.ScanLimit(kMaxUserKey - 1, 10)) {
+    page.push_back(kv.first);
+  }
+  EXPECT_EQ(page, std::vector<Key>({kMaxUserKey - 1, kMaxUserKey}));
 }
 
 TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {

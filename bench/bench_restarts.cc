@@ -42,10 +42,8 @@ RestartRow RunScenario(const char* label, bool with_compressors,
                        int reader_threads, int deleter_threads) {
   TreeOptions options;
   options.min_entries = 8;  // small nodes -> maximal restructuring churn
-  options.enqueue_underfull_on_delete = with_compressors;
   SagivTree tree(options);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   if (with_compressors) tree.AttachCompressionQueue(&queue);
 
   constexpr Key kKeySpace = 200'000;

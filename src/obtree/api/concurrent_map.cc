@@ -13,15 +13,10 @@ namespace obtree {
 
 ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     : options_(options) {
-  TreeOptions tree_options = options_.tree;
-  if (options_.compression == CompressionMode::kQueueWorkers) {
-    tree_options.enqueue_underfull_on_delete = true;
-  }
-  tree_ = std::make_unique<SagivTree>(tree_options);
+  tree_ = std::make_unique<SagivTree>(options_.tree);
   if (options_.compression == CompressionMode::kNone) return;
   if (options_.compression == CompressionMode::kQueueWorkers) {
     queue_ = std::make_unique<CompressionQueue>();
-    queue_->RegisterWith(tree_->epoch());
     tree_->AttachCompressionQueue(queue_.get());
   }
   if (pool == nullptr) {

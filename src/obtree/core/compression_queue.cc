@@ -61,8 +61,4 @@ Timestamp CompressionQueue::MinStamp() const {
   return min;
 }
 
-void CompressionQueue::RegisterWith(EpochManager* epoch) {
-  epoch->RegisterExternalMinProvider([this]() { return MinStamp(); });
-}
-
 }  // namespace obtree

@@ -72,12 +72,9 @@ class CompressionQueue {
   bool Empty() const { return Size() == 0; }
 
   /// Oldest stamp held by queued or in-flight tasks; kMaxTimestamp if none.
+  /// SagivTree::AttachCompressionQueue feeds it to the tree's epoch so
+  /// queued stacks hold back page reuse (Section 5.3).
   Timestamp MinStamp() const;
-
-  /// Register MinStamp with an epoch manager so queued stacks hold back
-  /// page reuse (Section 5.3). Call once; the queue must outlive `epoch`'s
-  /// last MinActive() call.
-  void RegisterWith(EpochManager* epoch);
 
  private:
   mutable std::mutex mu_;

@@ -46,11 +46,6 @@ struct TreeOptions {
   /// the pair for this pass / requeueing.
   int compression_wait_retries = 256;
 
-  /// When true, a deletion that leaves a leaf under-full pushes it onto the
-  /// tree's compression queue (Section 5.4). A QueueCompressor must be
-  /// draining the queue for space to be recovered.
-  bool enqueue_underfull_on_delete = false;
-
   /// When true (default), the unlocked read descents — Search, Scan, and
   /// the route-finding descent shared with updaters — read node headers
   /// and the one binary-search slot they need directly from the live page

@@ -30,8 +30,8 @@ namespace obtree {
 class QueueCompressor {
  public:
   /// Neither pointer is owned; both must outlive the compressor. The queue
-  /// should be registered with the tree's epoch manager
-  /// (CompressionQueue::RegisterWith) so stacks block page reuse.
+  /// should be attached to the tree (SagivTree::AttachCompressionQueue) so
+  /// deletions feed it and its stacks block page reuse.
   QueueCompressor(SagivTree* tree, CompressionQueue* queue)
       : tree_(tree), queue_(queue) {}
   OBTREE_DISALLOW_COPY_AND_ASSIGN(QueueCompressor);

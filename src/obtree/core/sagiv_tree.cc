@@ -204,7 +204,15 @@ uint64_t SagivTree::checkpoint_epoch() const {
 SagivTree::~SagivTree() = default;
 
 void SagivTree::AttachCompressionQueue(CompressionQueue* queue) {
+  // The new queue's stamps count before any deletion can reach it; the
+  // old queue's stop counting only once it is no longer published.
+  const uint64_t old_provider = queue_provider_;
+  queue_provider_ =
+      queue == nullptr ? 0
+                       : epoch_->RegisterExternalMinProvider(
+                             [queue] { return queue->MinStamp(); });
   queue_.store(queue, std::memory_order_release);
+  if (old_provider != 0) epoch_->UnregisterExternalMinProvider(old_provider);
 }
 
 // ---------------------------------------------------------------------------
@@ -1181,9 +1189,7 @@ Status SagivTree::Delete(Key key) {
   EpochManager::Guard guard(epoch_.get());
   PageManager::MutatorScope mutator_scope(pager_.get());
 
-  CompressionQueue* queue = queue_.load(std::memory_order_acquire);
-  const bool want_stack =
-      options_.enqueue_underfull_on_delete && queue != nullptr;
+  const bool want_stack = queue_.load(std::memory_order_acquire) != nullptr;
 
   std::vector<PageId> local_stack;
   TlStackLease stack_lease(&local_stack);
@@ -1198,8 +1204,7 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
                                std::vector<PageId>* stack_in,
                                const EpochManager::Guard& guard) {
   CompressionQueue* queue = queue_.load(std::memory_order_acquire);
-  const bool want_stack = options_.enqueue_underfull_on_delete &&
-                          queue != nullptr && stack_in != nullptr;
+  const bool want_stack = queue != nullptr && stack_in != nullptr;
   std::vector<PageId> unused_stack;
   std::vector<PageId>& stack = want_stack ? *stack_in : unused_stack;
 
@@ -1453,8 +1458,7 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
   // feed the §5.4 under-full enqueue.
   const bool want_stack =
       kind != MutateKind::kDelete ||
-      (options_.enqueue_underfull_on_delete &&
-       queue_.load(std::memory_order_acquire) != nullptr);
+      queue_.load(std::memory_order_acquire) != nullptr;
 
   const size_t width = options_.batch_max_inflight;
   std::vector<BatchCont> conts(std::min(n, width));

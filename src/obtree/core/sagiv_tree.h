@@ -155,9 +155,12 @@ class SagivTree {
   /// The persistent backend, or nullptr for an in-memory tree.
   FileStore* file_store() const { return file_store_.get(); }
 
-  /// Attach the compression queue that deletions feed when
-  /// options().enqueue_underfull_on_delete is set. The queue must outlive
-  /// all subsequent operations. Pass nullptr to detach.
+  /// Attach the compression queue that deletions feed (§5.4): a deletion
+  /// that leaves a leaf under-full records it there, and the queue's
+  /// stamps hold back page reuse (§5.3) until detached. A QueueCompressor
+  /// must drain the queue for space to be recovered. The queue must
+  /// outlive its attachment. Pass nullptr to detach; not safe to call
+  /// concurrently with itself.
   void AttachCompressionQueue(CompressionQueue* queue);
   CompressionQueue* compression_queue() const {
     return queue_.load(std::memory_order_acquire);
@@ -485,6 +488,7 @@ class SagivTree {
   PrimeBlock prime_;
 
   std::atomic<CompressionQueue*> queue_;
+  uint64_t queue_provider_ = 0;  // epoch handle of queue_'s MinStamp
   std::atomic<uint64_t> size_;
 
   // Append fast-path hints (see TryAppendFast). rightmost_hint_ is

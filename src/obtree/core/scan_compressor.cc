@@ -13,6 +13,34 @@
 
 namespace obtree {
 
+namespace {
+
+// Re-lock F (*current, a node at `parent_level`) and aim the sweep one
+// entry past `child`: at the next child of F, or at F's right neighbor
+// when `child` was F's last entry or has left F. Returns false, with F's
+// image left in *f, when F is no longer a live node of that level.
+bool StepPast(PageManager* pager, Page* f, uint32_t parent_level,
+              PageId child, PageId* current, PageId* one) {
+  const Node* fn = f->As<Node>();
+  const PageId f_page = *current;
+  pager->Lock(f_page);
+  pager->Get(f_page, f);
+  const bool live = !fn->is_deleted() && fn->level == parent_level;
+  if (live) {
+    const int found = fn->FindChildIndex(child);
+    if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
+      *one = static_cast<PageId>(fn->entries[found + 1].value);
+    } else {
+      *current = fn->link;
+      *one = kInvalidPageId;
+    }
+  }
+  pager->Unlock(f_page);
+  return live;
+}
+
+}  // namespace
+
 ScanCompressor::Advance ScanCompressor::ProcessPair(Page* f, PageId f_page,
                                                     uint32_t idx,
                                                     size_t* work) {
@@ -150,90 +178,38 @@ size_t ScanCompressor::CompressLevel(uint32_t level) {
         one = this_child;
         retries = 0;
         break;
-      case Advance::kToRight: {
-        // Re-read is unnecessary: the pair's right child page id was
-        // derived from left->link inside ProcessPair; recompute next loop
-        // from F. Advance by remembering the left child and stepping one
-        // entry past it.
-        one = this_child;
-        // Move to the entry after `one`: emulate by a skip marker.
-        // Simplest: find `one` next iteration and bump idx by one.
-        one = kInvalidPageId;  // replaced below
-        // Fall through logic handled by kSkipEntry path:
-        [[fallthrough]];
-      }
-      case Advance::kSkipEntry: {
-        // Examine the entry following idx next time. We re-lock F to read
-        // a stable successor entry.
-        pager->Lock(current);
-        pager->Get(current, &f_buf);
-        if (!fn->is_deleted() && fn->level == level + 1) {
-          const int found = fn->FindChildIndex(this_child);
-          if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
-            one = static_cast<PageId>(
-                fn->entries[static_cast<uint32_t>(found) + 1].value);
-            pager->Unlock(current);
-            retries = 0;
-            break;
-          }
-          const PageId link = fn->link;
-          pager->Unlock(current);
-          current = link;
-          one = kInvalidPageId;
-          retries = 0;
+      case Advance::kToRight:
+      case Advance::kSkipEntry:
+        // Examine the entry following this_child next.
+        retries = 0;
+        if (StepPast(pager, &f_buf, level + 1, this_child, &current, &one)) {
           break;
         }
-        const PageId target = fn->merge_target;
-        pager->Unlock(current);
-        if (fn->is_deleted() && target != kInvalidPageId) {
-          current = target;
+        if (fn->is_deleted() && fn->merge_target != kInvalidPageId) {
+          current = fn->merge_target;
           one = this_child;
-        } else {
+          break;
+        }
+        return work;
+      case Advance::kNextParent:
+        // Step past every child of F: on to its right neighbor.
+        retries = 0;
+        if (!StepPast(pager, &f_buf, level + 1, kInvalidPageId, &current,
+                      &one)) {
           return work;
         }
-        retries = 0;
         break;
-      }
-      case Advance::kNextParent: {
-        pager->Lock(current);
-        pager->Get(current, &f_buf);
-        const PageId link =
-            (!fn->is_deleted() && fn->level == level + 1) ? fn->link
-                                                          : kInvalidPageId;
-        pager->Unlock(current);
-        current = link;
-        one = kInvalidPageId;
-        retries = 0;
-        break;
-      }
       case Advance::kRetryPair:
         if (++retries > tree_->options().compression_wait_retries) {
           // The pending insertion never posted (or keeps splitting A, the
           // paper's "minuscule probability" livelock). Skip the pair for
           // this pass.
-          one = this_child;
           retries = 0;
-          // Skip exactly like kSkipEntry but without recursion: next
-          // iteration FindChildIndex(one) resolves and we bump past it.
-          // To bump past, treat as kSkipEntry:
-          pager->Lock(current);
-          pager->Get(current, &f_buf);
-          if (!fn->is_deleted() && fn->level == level + 1) {
-            const int found = fn->FindChildIndex(this_child);
-            if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
-              one = static_cast<PageId>(
-                  fn->entries[static_cast<uint32_t>(found) + 1].value);
-              pager->Unlock(current);
-              break;
-            }
-            const PageId link = fn->link;
-            pager->Unlock(current);
-            current = link;
-            one = kInvalidPageId;
-            break;
+          if (!StepPast(pager, &f_buf, level + 1, this_child, &current,
+                        &one)) {
+            return work;
           }
-          pager->Unlock(current);
-          return work;
+          break;
         }
         std::this_thread::yield();
         break;

@@ -72,12 +72,12 @@ size_t Node::InsertLeafEntryInPlace(Key k, Value v) {
   const uint32_t i = LowerBound(k);
   assert(i == n || entries[i].key != k);
   for (uint32_t j = n; j > i; --j) {
-    PageStoreWord(&entries[j].key, entries[j - 1].key);
-    PageStoreWord(&entries[j].value, entries[j - 1].value);
+    SeqLock::Store(&entries[j].key, entries[j - 1].key);
+    SeqLock::Store(&entries[j].value, entries[j - 1].value);
   }
-  PageStoreWord(&entries[i].key, k);
-  PageStoreWord(&entries[i].value, v);
-  StoreCountInPlace(n + 1);
+  SeqLock::Store(&entries[i].key, k);
+  SeqLock::Store(&entries[i].value, v);
+  SeqLock::Store(&count, n + 1);
   return (n - i + 1) * sizeof(Entry) + sizeof(count);
 }
 
@@ -86,9 +86,9 @@ size_t Node::AppendLeafEntryInPlace(Key k, Value v) {
   assert(count < kMaxEntries);
   const uint32_t n = count;
   assert(n == 0 || entries[n - 1].key < k);
-  PageStoreWord(&entries[n].key, k);
-  PageStoreWord(&entries[n].value, v);
-  StoreCountInPlace(n + 1);
+  SeqLock::Store(&entries[n].key, k);
+  SeqLock::Store(&entries[n].value, v);
+  SeqLock::Store(&count, n + 1);
   return sizeof(Entry) + sizeof(count);
 }
 
@@ -97,17 +97,17 @@ size_t Node::RemoveLeafEntryAtInPlace(uint32_t i) {
   const uint32_t n = count;
   assert(i < n);
   for (uint32_t j = i; j + 1 < n; ++j) {
-    PageStoreWord(&entries[j].key, entries[j + 1].key);
-    PageStoreWord(&entries[j].value, entries[j + 1].value);
+    SeqLock::Store(&entries[j].key, entries[j + 1].key);
+    SeqLock::Store(&entries[j].value, entries[j + 1].value);
   }
-  StoreCountInPlace(n - 1);
+  SeqLock::Store(&count, n - 1);
   return (n - i - 1) * sizeof(Entry) + sizeof(count);
 }
 
 size_t Node::SetLeafValueAtInPlace(uint32_t i, Value v) {
   assert(is_leaf());
   assert(i < count);
-  PageStoreWord(&entries[i].value, v);
+  SeqLock::Store(&entries[i].value, v);
   return sizeof(uint64_t);
 }
 
@@ -122,13 +122,13 @@ size_t Node::InsertChildSplitInPlace(Key sep, PageId new_child) {
   if (entries[i].key == sep) return 0;
   const uint64_t left_child = entries[i].value;
   for (uint32_t j = n; j > i; --j) {
-    PageStoreWord(&entries[j].key, entries[j - 1].key);
-    PageStoreWord(&entries[j].value, entries[j - 1].value);
+    SeqLock::Store(&entries[j].key, entries[j - 1].key);
+    SeqLock::Store(&entries[j].value, entries[j - 1].value);
   }
-  PageStoreWord(&entries[i].key, sep);
-  PageStoreWord(&entries[i].value, left_child);
-  PageStoreWord(&entries[i + 1].value, new_child);
-  StoreCountInPlace(n + 1);
+  SeqLock::Store(&entries[i].key, sep);
+  SeqLock::Store(&entries[i].value, left_child);
+  SeqLock::Store(&entries[i + 1].value, new_child);
+  SeqLock::Store(&count, n + 1);
   return (n - i + 1) * sizeof(Entry) + sizeof(uint64_t) + sizeof(count);
 }
 

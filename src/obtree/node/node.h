@@ -30,6 +30,7 @@
 #include <string>
 
 #include "obtree/storage/page.h"
+#include "obtree/storage/seqlock.h"
 #include "obtree/util/common.h"
 
 namespace obtree {
@@ -120,12 +121,16 @@ struct Node {
   //
   // Store-side counterparts of NodeView: they mutate the LIVE page image
   // while concurrent optimistic readers probe it, so every store goes
-  // through a relaxed word-sized atomic (PageStoreWord). The seqlock —
-  // held odd by the caller's WriteGuard for the duration — is what makes
-  // the relaxed stores safe: any reader racing them observes a moved
-  // version and discards what it saw. The caller must also hold the paper
-  // lock (sole-mutator invariant), which is why the PLAIN reads these
-  // methods do (binary search, shift sources) are race-free.
+  // through SeqLock::Store. The seqlock — held odd by the caller's
+  // WriteGuard for the duration — is what makes the stores safe: any
+  // reader racing them observes a moved version and discards what it
+  // saw. The caller must also hold the paper lock (sole-mutator
+  // invariant), which is why the PLAIN reads these methods do (binary
+  // search, shift sources) are race-free.
+  //
+  // The insert/remove primitives store the entry count LAST, so a torn
+  // image never claims entries that were not yet shifted into place —
+  // NodeView clamps, the seqlock discards.
   //
   // Each returns the number of bytes stored — the write-path bytes-moved
   // stats — with 0 meaning "no change" (separator already present).
@@ -158,12 +163,6 @@ struct Node {
   /// In-place InsertChildSplit. Same preconditions; returns 0 (no change)
   /// only if sep is already present.
   size_t InsertChildSplitInPlace(Key sep, PageId new_child);
-
-  /// In-place header update: publish a new entry count (relaxed 32-bit
-  /// atomic store). The count is stored LAST by the insert/remove
-  /// primitives so a torn image never claims entries that were not yet
-  /// shifted into place — NodeView clamps, the seqlock discards.
-  void StoreCountInPlace(uint32_t c) { PageStoreWord32(&count, c); }
 
   // --- internal updates ----------------------------------------------------
 
@@ -227,8 +226,8 @@ static_assert(Node::kMaxEntries == 254);
 
 /// Read-only view over a node image that may be concurrently rewritten —
 /// the optimistic in-place read path (PageManager::OptimisticRead). Every
-/// access goes through relaxed word-sized atomic loads so a racing Put
-/// stays defined behavior, and every value read may be torn garbage until
+/// access goes through SeqLock::Load so a racing Put stays defined
+/// behavior, and every value read may be torn garbage until
 /// the caller validates the page version. The search entry points are
 /// therefore total and bounded on ANY bit pattern: count is clamped, the
 /// binary search cannot run away, no method chases a pointer, and
@@ -239,8 +238,8 @@ class NodeView {
  public:
   explicit NodeView(const Node* node) : node_(node) {}
 
-  uint16_t level() const { return Load16(&node_->level); }
-  uint16_t flags() const { return Load16(&node_->flags); }
+  uint16_t level() const { return SeqLock::Load(&node_->level); }
+  uint16_t flags() const { return SeqLock::Load(&node_->flags); }
   bool is_leaf() const { return level() == 0; }
   bool is_root() const { return flags() & kNodeFlagRoot; }
   bool is_deleted() const { return flags() & kNodeFlagDeleted; }
@@ -248,19 +247,21 @@ class NodeView {
   /// Entry count clamped to kMaxEntries (a torn count must not widen any
   /// loop past the entry array).
   uint32_t count() const {
-    const uint32_t c = Load32(&node_->count);
+    const uint32_t c = SeqLock::Load(&node_->count);
     return c <= Node::kMaxEntries ? c
                                   : static_cast<uint32_t>(Node::kMaxEntries);
   }
 
-  Key low() const { return Load64(&node_->low); }
-  Key high() const { return Load64(&node_->high); }
-  PageId link() const { return Load32(&node_->link); }
-  PageId merge_target() const { return Load32(&node_->merge_target); }
+  Key low() const { return SeqLock::Load(&node_->low); }
+  Key high() const { return SeqLock::Load(&node_->high); }
+  PageId link() const { return SeqLock::Load(&node_->link); }
+  PageId merge_target() const { return SeqLock::Load(&node_->merge_target); }
 
-  Key entry_key(uint32_t i) const { return Load64(&node_->entries[i].key); }
+  Key entry_key(uint32_t i) const {
+    return SeqLock::Load(&node_->entries[i].key);
+  }
   uint64_t entry_value(uint32_t i) const {
-    return Load64(&node_->entries[i].value);
+    return SeqLock::Load(&node_->entries[i].value);
   }
 
   /// Index of the first entry with key >= k; count() if none. Bounded on
@@ -280,16 +281,6 @@ class NodeView {
   PageId ChildFor(Key k) const;
 
  private:
-  static uint16_t Load16(const uint16_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
-  }
-  static uint32_t Load32(const uint32_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
-  }
-  static uint64_t Load64(const uint64_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
-  }
-
   const Node* node_;
 };
 

@@ -2,7 +2,8 @@
 //
 // A Page models one block of "secondary storage" (Section 2.2 of the
 // paper). Every tree node occupies exactly one page; get/put of a page is
-// indivisible (enforced by PageManager's per-page seqlock).
+// indivisible (enforced by PageManager's per-page SeqLock, which also owns
+// the word accessors for bytes of a live page).
 
 #ifndef OBTREE_STORAGE_PAGE_H_
 #define OBTREE_STORAGE_PAGE_H_
@@ -18,24 +19,7 @@ namespace obtree {
 /// Size in bytes of one page / node.
 inline constexpr size_t kPageSize = 4096;
 
-/// Relaxed word-granular atomic accessors for bytes of a live page that
-/// may be probed by optimistic readers while a seqlock writer rewrites
-/// it. C++17 has no std::atomic_ref, so these wrap the __atomic builtins
-/// both supported compilers (GCC, Clang) provide. Used by PageManager's
-/// copy loops and by Node's in-place mutation primitives; the seqlock
-/// version protocol is what makes the relaxed ordering sufficient
-/// (readers discard anything read under a moved version).
-inline uint64_t PageLoadWord(const uint64_t* p) {
-  return __atomic_load_n(p, __ATOMIC_RELAXED);
-}
-inline void PageStoreWord(uint64_t* p, uint64_t v) {
-  __atomic_store_n(p, v, __ATOMIC_RELAXED);
-}
-inline void PageStoreWord32(uint32_t* p, uint32_t v) {
-  __atomic_store_n(p, v, __ATOMIC_RELAXED);
-}
-
-/// Raw page buffer. Alignment of 8 allows word-granular atomic copies.
+/// Raw page buffer. Alignment of 8 allows SeqLock's word-granular copies.
 struct alignas(8) Page {
   uint8_t bytes[kPageSize];
 

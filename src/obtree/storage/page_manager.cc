@@ -28,38 +28,6 @@ thread_local int tl_locks_held = 0;
 // that paid for them.
 thread_local uint64_t tl_io_credits = 0;
 
-// Word-granular copy. The seqlock retry loop discards torn reads; copying
-// through relaxed word-sized atomic accesses (PageLoadWord/PageStoreWord,
-// shared with Node's in-place mutation primitives) keeps the concurrent
-// access well-defined.
-void AtomicCopyOut(const uint8_t* src, uint8_t* dst, size_t bytes) {
-  const auto* s = reinterpret_cast<const uint64_t*>(src);
-  auto* d = reinterpret_cast<uint64_t*>(dst);
-  const size_t words = bytes / 8;
-  for (size_t i = 0; i < words; ++i) {
-    d[i] = PageLoadWord(&s[i]);
-  }
-}
-
-void AtomicCopyIn(const uint8_t* src, uint8_t* dst, size_t bytes) {
-  const auto* s = reinterpret_cast<const uint64_t*>(src);
-  auto* d = reinterpret_cast<uint64_t*>(dst);
-  const size_t words = bytes / 8;
-  for (size_t i = 0; i < words; ++i) {
-    PageStoreWord(&d[i], s[i]);
-  }
-}
-
-// Zero a page with the same word-granular atomic stores as AtomicCopyIn:
-// optimistic readers may still be probing a page while its reuse zeroes
-// it, and a plain memset racing those atomic loads would be undefined.
-void AtomicZero(uint8_t* dst) {
-  auto* d = reinterpret_cast<uint64_t*>(dst);
-  for (size_t i = 0; i < kPageSize / 8; ++i) {
-    PageStoreWord(&d[i], 0);
-  }
-}
-
 }  // namespace
 
 PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
@@ -132,6 +100,7 @@ Result<PageId> PageManager::Allocate() {
       if (budget < 0) break;  // reset to unlimited concurrently
     }
   }
+  PageId reused = kInvalidPageId;
   {
     std::lock_guard<std::mutex> l(alloc_mu_);
     if (free_list_.empty()) {
@@ -145,21 +114,23 @@ Result<PageId> PageManager::Allocate() {
       }
     }
     if (!free_list_.empty()) {
-      PageId id = free_list_.back();
+      reused = free_list_.back();
       free_list_.pop_back();
-      Slot* slot = SlotFor(id);
-      // Zero the reused page under the seqlock so no reader sees a blend of
-      // the dead node and the new one.
-      uint64_t seq = slot->seq.fetch_add(1, std::memory_order_acq_rel);
-      (void)seq;
-      AtomicZero(slot->page.bytes);
-      // The zeroed image fully defines the page's content: resident and
-      // dirty with no store read (paged mode only).
-      if (paged_) MarkResidentDirty(slot);
-      slot->seq.fetch_add(1, std::memory_order_release);
-      if (paged_) MaybeEvict();
-      return id;
     }
+  }
+  if (reused != kInvalidPageId) {
+    // Zero the reused page inside a write bracket so no reader sees a blend
+    // of the dead node and the new one. Like every writer it first waits
+    // out a write still in flight (e.g. an eviction sweeping the page).
+    Slot* slot = SlotFor(reused);
+    slot->seq.WriteBegin();
+    SeqLock::Zero(slot->page.bytes, kPageSize);
+    // The zeroed image fully defines the page's content: resident and
+    // dirty with no store read (paged mode only).
+    if (paged_) MarkResidentDirty(slot);
+    slot->seq.WriteEnd();
+    if (paged_) MaybeEvict();
+    return reused;
   }
   const uint32_t id = next_fresh_.fetch_add(1, std::memory_order_acq_rel);
   const size_t chunk_index = id >> kChunkBits;
@@ -229,16 +200,14 @@ Status PageManager::Get(PageId id, Page* out) const {
         return s;
       }
     }
-    const uint64_t s1 = slot->seq.load(std::memory_order_acquire);
-    if (s1 & 1) continue;  // a put is in flight
+    const uint64_t begun = slot->seq.ReadBegin();
+    if (begun & 1) continue;  // a put is in flight
     if (paged_ &&
         !(slot->state.load(std::memory_order_acquire) & kSlotResident)) {
       continue;  // evicted after the version read: re-fault
     }
-    AtomicCopyOut(slot->page.bytes, out->bytes, kPageSize);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = slot->seq.load(std::memory_order_relaxed);
-    if (s1 == s2) break;
+    SeqLock::CopyOut(slot->page.bytes, out->bytes, kPageSize);
+    if (slot->seq.Validate(begun)) break;
   }
   stats_->Add(StatId::kGets);
   return Status::OK();
@@ -255,9 +224,9 @@ PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
   if (paged_ && !EnsureResident(id, slot).ok()) {
     return ReadGuard();  // store fault: callers treat it as a torn read
   }
-  // If the page is evicted after this point the eviction's version bumps
-  // make Validate() fail, so the zeroed bytes can never be trusted.
-  const uint64_t version = slot->seq.load(std::memory_order_acquire);
+  // If the page is evicted after this point the eviction's write bracket
+  // makes Validate() fail, so the zeroed bytes can never be trusted.
+  const uint64_t version = slot->seq.ReadBegin();
   stats_->Add(StatId::kGets);
   return ReadGuard(&slot->seq, &slot->page, version);
 }
@@ -276,11 +245,11 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   assert(LocksHeldByThisThread() > 0);  // the paper lock is the mutator license
   Slot* slot = SlotFor(id);
   // The caller's paper lock excludes every Put/BeginWrite on this page;
-  // only an in-flight reuse of a STALE page could hold the seq odd, and
-  // the acquire discipline (validate as live under the lock first) rules
-  // that out — except a concurrent fault-in of this page, which holds the
-  // seq odd for one store read (paged mode). Hence the wait.
-  TakeSeqOdd(slot);
+  // only an in-flight reuse of a STALE page could hold the seqlock odd,
+  // and the acquire discipline (validate as live under the lock first)
+  // rules that out — except a concurrent fault-in of this page, which
+  // holds it odd for one store read (paged mode). WriteBegin waits.
+  slot->seq.WriteBegin();
   if (paged_) {
     // Defensive re-fault: the caller validated the page under its paper
     // lock (PeekLocked), which pins it against eviction from then on —
@@ -296,15 +265,10 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
       // checks reject it. In practice the preceding PeekLocked already
       // faulted the page in, so this path is a race backstop.
       if (!s.ok()) std::memset(buf.bytes, 0, kPageSize);
-      AtomicCopyIn(buf.bytes, slot->page.bytes, kPageSize);
-      const uint32_t prev = slot->state.fetch_or(
-          kSlotResident, std::memory_order_release);
-      if (!(prev & kSlotResident)) {
-        resident_count_.fetch_add(1, std::memory_order_relaxed);
-      }
+      SeqLock::CopyIn(buf.bytes, slot->page.bytes, kPageSize);
       stats_->Add(StatId::kStoreReads);
     }
-    slot->state.fetch_or(kSlotDirty, std::memory_order_release);
+    MarkResidentDirty(slot);
   }
   stats_->Add(StatId::kPuts);
   return WriteGuard(&slot->seq, &slot->page);
@@ -316,11 +280,11 @@ void PageManager::Put(PageId id, const Page& in) {
   Slot* slot = SlotFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.
-  const uint64_t seq = TakeSeqOdd(slot);
-  AtomicCopyIn(in.bytes, slot->page.bytes, kPageSize);
+  slot->seq.WriteBegin();
+  SeqLock::CopyIn(in.bytes, slot->page.bytes, kPageSize);
   // A put defines the page's full content: resident + dirty, no read.
   if (paged_) MarkResidentDirty(slot);
-  slot->seq.store(seq + 2, std::memory_order_release);
+  slot->seq.WriteEnd();
   stats_->Add(StatId::kPuts);
   if (paged_) MaybeEvict();
 }
@@ -441,19 +405,6 @@ Timestamp PageManager::ReclaimHorizon() const {
   return std::min(now, epoch_->MinActive());
 }
 
-uint64_t PageManager::TakeSeqOdd(Slot* slot) {
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if (seq & 1) {
-      PaperLock::CpuRelax();
-      seq = slot->seq.load(std::memory_order_relaxed);
-    } else if (slot->seq.compare_exchange_weak(seq, seq + 1,
-                                               std::memory_order_acq_rel)) {
-      return seq;
-    }
-  }
-}
-
 size_t PageManager::live_pages() const {
   std::lock_guard<std::mutex> a(alloc_mu_);
   std::lock_guard<std::mutex> l(retired_mu_);
@@ -492,23 +443,23 @@ Status PageManager::FaultInSlot(PageId id, Slot* slot) const {
   // Take the slot's seqlock odd: the fault-in is then private — copy
   // readers wait, optimistic readers discard. Competing fault-ins on the
   // same page serialize here too.
-  const uint64_t seq = TakeSeqOdd(slot);
-  // Lost a fault-in race (another thread published while we CASed)?
+  slot->seq.WriteBegin();
+  // Lost a fault-in race (another thread published while we waited)?
   if (slot->state.load(std::memory_order_acquire) & kSlotResident) {
-    slot->seq.store(seq, std::memory_order_release);  // content untouched
+    slot->seq.WriteAbort();  // content untouched
     return Status::OK();
   }
   Page buf;
   Status s = store_->ReadPage(id, buf.bytes);
   if (!s.ok()) {
-    // Restore the original even version: the arena content (zeroes) is
-    // exactly what it was, so readers that captured `seq` lose nothing.
-    slot->seq.store(seq, std::memory_order_release);
+    // The arena content (zeroes) is exactly what it was, so readers that
+    // began before the fault-in lose nothing.
+    slot->seq.WriteAbort();
     return s;
   }
-  AtomicCopyIn(buf.bytes, slot->page.bytes, kPageSize);
+  SeqLock::CopyIn(buf.bytes, slot->page.bytes, kPageSize);
   slot->state.fetch_or(kSlotResident, std::memory_order_release);
-  slot->seq.store(seq + 2, std::memory_order_release);
+  slot->seq.WriteEnd();
   resident_count_.fetch_add(1, std::memory_order_relaxed);
   stats_->Add(StatId::kStoreReads);
   MaybeEvict();
@@ -546,27 +497,24 @@ bool PageManager::TryEvictSlot(PageId id) const {
   // take it — non-blocking, straight on the PaperLock (PageManager::
   // TryLock would perturb tl_locks_held and the checkpoint gate).
   if (!slot->paper_lock.TryLock()) return false;
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  if ((seq & 1) != 0 ||
-      !slot->seq.compare_exchange_strong(seq, seq + 1,
-                                         std::memory_order_acq_rel)) {
+  if (!slot->seq.TryWriteBegin()) {
     slot->paper_lock.Unlock();
     return false;
   }
   uint32_t state = slot->state.load(std::memory_order_acquire);
   if (!(state & kSlotResident)) {  // raced an eviction: nothing to do
-    slot->seq.store(seq, std::memory_order_release);
+    slot->seq.WriteAbort();
     slot->paper_lock.Unlock();
     return false;
   }
   if (state & kSlotDirty) {
     Page buf;
-    AtomicCopyOut(slot->page.bytes, buf.bytes, kPageSize);
+    SeqLock::CopyOut(slot->page.bytes, buf.bytes, kPageSize);
     Status s = store_->WritePage(id, buf.bytes);
     if (!s.ok()) {
       // Keep the page resident and dirty; a later sweep or the next
       // checkpoint retries the write.
-      slot->seq.store(seq, std::memory_order_release);
+      slot->seq.WriteAbort();
       slot->paper_lock.Unlock();
       return false;
     }
@@ -574,9 +522,9 @@ bool PageManager::TryEvictSlot(PageId id) const {
   }
   // Zero the arena copy so a missed re-fault reads an inert empty image
   // (and so bugs in the residency protocol are loudly observable).
-  AtomicZero(slot->page.bytes);
+  SeqLock::Zero(slot->page.bytes, kPageSize);
   slot->state.store(0, std::memory_order_release);
-  slot->seq.store(seq + 2, std::memory_order_release);
+  slot->seq.WriteEnd();
   slot->paper_lock.Unlock();
   resident_count_.fetch_sub(1, std::memory_order_relaxed);
   stats_->Add(StatId::kPagesEvicted);
@@ -655,7 +603,7 @@ Status PageManager::Checkpoint(
       if (!(state & kSlotDirty)) continue;
       // No mutators and no eviction: the content is frozen, so a plain
       // word-granular copy is a consistent snapshot (readers only read).
-      AtomicCopyOut(slot->page.bytes, buf.bytes, kPageSize);
+      SeqLock::CopyOut(slot->page.bytes, buf.bytes, kPageSize);
       Status s = store_->WritePage(id, buf.bytes);
       if (!s.ok()) {
         result = s;

@@ -9,7 +9,8 @@
 //     lockers but does NOT block readers ("a lock on a node does not
 //     prevent other processes from reading the locked node").
 //
-// Indivisibility is provided by a per-page seqlock, so readers never block
+// Indivisibility is provided by a per-page SeqLock (storage/seqlock.h, the
+// one owner of the version protocol), so readers never block
 // and never observe a torn node image. The paper lock is a separate
 // per-page PaperLock (paper_lock.h): a compact test-and-test-and-set
 // spin-then-park lock, because the hot-path critical sections are a few
@@ -34,11 +35,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obtree/storage/page.h"
 #include "obtree/storage/page_store.h"
 #include "obtree/storage/paper_lock.h"
+#include "obtree/storage/seqlock.h"
 #include "obtree/util/common.h"
 #include "obtree/util/epoch.h"
 #include "obtree/util/fault_injector.h"
@@ -120,8 +123,8 @@ class PageManager {
   /// plus the seqlock version observed at acquisition. The page content
   /// may be rewritten underneath at any time, so anything read through
   /// page() is untrusted garbage until Validate() returns true AFTER the
-  /// reads — and every access to page() bytes must go through relaxed
-  /// atomic loads (see NodeView) to stay defined under a racing Put.
+  /// reads — and every access to page() bytes must go through SeqLock's
+  /// word loads (see NodeView) to stay defined under a racing Put.
   class ReadGuard {
    public:
     /// Invalid guard: stable() and Validate() are false.
@@ -135,23 +138,24 @@ class PageManager {
     /// on Validate().
     bool stable() const { return seq_ != nullptr && (version_ & 1) == 0; }
 
+    /// The page version observed at acquisition (odd on an invalid or
+    /// unstable guard).
+    uint64_t version() const { return version_; }
+
     /// True iff no put has started or finished on the page since
     /// acquisition — everything read from page() in between is a
     /// consistent snapshot. (Page reuse via Retire/Allocate also bumps
     /// the version, so a recycled page never validates.)
     bool Validate() const {
-      if (!stable()) return false;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      return seq_->load(std::memory_order_relaxed) == version_;
+      return seq_ != nullptr && seq_->Validate(version_);
     }
 
    private:
     friend class PageManager;
-    ReadGuard(const std::atomic<uint64_t>* seq, const Page* page,
-              uint64_t version)
+    ReadGuard(const SeqLock* seq, const Page* page, uint64_t version)
         : seq_(seq), page_(page), version_(version) {}
 
-    const std::atomic<uint64_t>* seq_ = nullptr;
+    const SeqLock* seq_ = nullptr;
     const Page* page_ = nullptr;
     uint64_t version_ = 1;  // odd: never validates
   };
@@ -211,28 +215,24 @@ class PageManager {
   ReadGuard PeekLocked(PageId id) const;
 
   /// Handle for an in-place mutation of one page by the paper-lock
-  /// holder: acquisition bumps the seqlock to odd (optimistic readers
-  /// discard what they read, copy-readers wait), Release() bumps it back
-  /// to even, publishing the stores. Between the two, every store to
-  /// page() bytes must go through relaxed word-sized atomics
-  /// (PageStoreWord / Node's *InPlace primitives) so racing NodeView
-  /// readers stay defined. Move-only; the destructor releases a guard
-  /// that is still held.
+  /// holder: acquisition takes the seqlock odd (optimistic readers
+  /// discard what they read, copy-readers wait), Release() ends the write
+  /// at the next even version, publishing the stores. Between the two,
+  /// every store to page() bytes must go through SeqLock's word stores
+  /// (Node's *InPlace primitives) so racing NodeView readers stay
+  /// defined. Move-only; the destructor releases a guard that is still
+  /// held.
   class WriteGuard {
    public:
     WriteGuard() = default;
     WriteGuard(WriteGuard&& other) noexcept
-        : seq_(other.seq_), page_(other.page_) {
-      other.seq_ = nullptr;
-      other.page_ = nullptr;
-    }
+        : seq_(std::exchange(other.seq_, nullptr)),
+          page_(std::exchange(other.page_, nullptr)) {}
     WriteGuard& operator=(WriteGuard&& other) noexcept {
       if (this != &other) {
         Release();
-        seq_ = other.seq_;
-        page_ = other.page_;
-        other.seq_ = nullptr;
-        other.page_ = nullptr;
+        seq_ = std::exchange(other.seq_, nullptr);
+        page_ = std::exchange(other.page_, nullptr);
       }
       return *this;
     }
@@ -246,21 +246,20 @@ class PageManager {
     /// True while the seqlock is held odd by this guard.
     bool held() const { return seq_ != nullptr; }
 
-    /// Bump the seqlock back to even, publishing every in-place store.
-    /// Idempotent; also run by the destructor.
+    /// End the write at the next even version, publishing every in-place
+    /// store. Idempotent; also run by the destructor.
     void Release() {
       if (seq_ == nullptr) return;
-      seq_->fetch_add(1, std::memory_order_release);
+      seq_->WriteEnd();
       seq_ = nullptr;
       page_ = nullptr;
     }
 
    private:
     friend class PageManager;
-    WriteGuard(std::atomic<uint64_t>* seq, Page* page)
-        : seq_(seq), page_(page) {}
+    WriteGuard(SeqLock* seq, Page* page) : seq_(seq), page_(page) {}
 
-    std::atomic<uint64_t>* seq_ = nullptr;
+    SeqLock* seq_ = nullptr;
     Page* page_ = nullptr;
   };
 
@@ -428,8 +427,8 @@ class PageManager {
   static constexpr uint32_t kSlotDirty = 2u;
 
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // seqlock: odd while a put is in flight
-    PaperLock paper_lock;          // 4-byte spin-then-park lock
+    SeqLock seq;           // version word: odd while a put is in flight
+    PaperLock paper_lock;  // 4-byte spin-then-park lock
     std::atomic<uint32_t> state{0};  // kSlotResident | kSlotDirty
     Page page;
   };
@@ -445,10 +444,6 @@ class PageManager {
   Slot* SlotFor(PageId id) const;
   void EnsureChunk(size_t chunk_index);
 
-  // Take the slot's seqlock odd (waiting out an odd holder, e.g. a
-  // concurrent fault-in) and return the even version it replaced.
-  static uint64_t TakeSeqOdd(Slot* slot);
-
   // Clock value below which retired pages may be reused: the smaller of
   // the clock read before the MinActive() scan and the scan itself.
   Timestamp ReclaimHorizon() const;
@@ -459,7 +454,7 @@ class PageManager {
 
   // Fault `id` into the arena if non-resident (no-op otherwise): seqlock
   // odd, read the store image into a scratch buffer, publish it into the
-  // live page via relaxed word stores, mark resident, seqlock even.
+  // live page via SeqLock::CopyIn, mark resident, seqlock even.
   // Errors (checksum mismatch, transient I/O) leave the page
   // non-resident with its version restored.
   Status EnsureResident(PageId id, Slot* slot) const;

@@ -14,11 +14,11 @@
 #ifndef OBTREE_STORAGE_PRIME_BLOCK_H_
 #define OBTREE_STORAGE_PRIME_BLOCK_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 
+#include "obtree/storage/seqlock.h"
 #include "obtree/util/common.h"
 
 namespace obtree {
@@ -44,49 +44,37 @@ struct PrimeBlockData {
   }
 };
 
-/// Seqlock-protected prime block. The payload is copied through relaxed
-/// word-sized atomic accesses (the seq_ check discards torn snapshots),
-/// keeping the concurrent read/write well-defined for the C++ memory
-/// model and for TSan.
+/// Seqlock-protected prime block. The payload lives in guarded words that
+/// only SeqLock's helpers touch, so a read racing a write is defined.
 class PrimeBlock {
  public:
-  PrimeBlock() : seq_(0) { std::memset(words_, 0, sizeof(words_)); }
+  PrimeBlock() = default;
   OBTREE_DISALLOW_COPY_AND_ASSIGN(PrimeBlock);
 
   /// Indivisible read of the prime block (every tree access begins here).
   PrimeBlockData Read() const {
     uint64_t buf[kWords];
-    for (;;) {
-      const uint64_t s1 = seq_.load(std::memory_order_acquire);
-      if (s1 & 1) continue;
-      for (size_t i = 0; i < kWords; ++i) {
-        buf[i] = __atomic_load_n(&words_[i], __ATOMIC_RELAXED);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) break;
-    }
+    seq_.ReadCopy(words_, buf, sizeof(buf));
     PrimeBlockData out;
     std::memcpy(&out, buf, sizeof(out));
     return out;
   }
 
-  /// Rewrite the prime block. Caller must hold the lock on the current
-  /// root node (paper invariant), so writers are serialized.
+  /// Rewrite the prime block. Callers hold the lock on the current root
+  /// (paper invariant); the seqlock would serialize them regardless.
   void Write(const PrimeBlockData& data) {
     uint64_t buf[kWords] = {};
     std::memcpy(buf, &data, sizeof(data));
-    seq_.fetch_add(1, std::memory_order_acq_rel);  // odd: write in progress
-    for (size_t i = 0; i < kWords; ++i) {
-      __atomic_store_n(&words_[i], buf[i], __ATOMIC_RELAXED);
-    }
-    seq_.fetch_add(1, std::memory_order_release);
+    seq_.WriteBegin();
+    SeqLock::CopyIn(buf, words_, sizeof(buf));
+    seq_.WriteEnd();
   }
 
  private:
   static constexpr size_t kWords = (sizeof(PrimeBlockData) + 7) / 8;
 
-  std::atomic<uint64_t> seq_;
-  uint64_t words_[kWords];
+  SeqLock seq_;
+  uint64_t words_[kWords] = {};
 };
 
 }  // namespace obtree

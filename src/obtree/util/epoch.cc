@@ -123,17 +123,24 @@ Timestamp EpochManager::MinActive() const {
     }
   }
   std::lock_guard<std::mutex> l(providers_mu_);
-  for (const auto& p : providers_) {
+  for (const auto& [handle, p] : providers_) {
     Timestamp t = p();
     if (t < min) min = t;
   }
   return min;
 }
 
-void EpochManager::RegisterExternalMinProvider(
+uint64_t EpochManager::RegisterExternalMinProvider(
     std::function<Timestamp()> provider) {
   std::lock_guard<std::mutex> l(providers_mu_);
-  providers_.push_back(std::move(provider));
+  const uint64_t handle = next_provider_++;
+  providers_.emplace(handle, std::move(provider));
+  return handle;
+}
+
+void EpochManager::UnregisterExternalMinProvider(uint64_t handle) {
+  std::lock_guard<std::mutex> l(providers_mu_);
+  providers_.erase(handle);
 }
 
 int EpochManager::ActiveCount() const {

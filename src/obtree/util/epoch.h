@@ -40,8 +40,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
-#include <vector>
 
 #include "obtree/util/common.h"
 
@@ -104,7 +104,12 @@ class EpochManager {
   /// Register a callback that reports the minimum timestamp still live in
   /// an external structure (e.g. a compression queue's stored stacks). The
   /// callback must return kMaxTimestamp when the structure holds nothing.
-  void RegisterExternalMinProvider(std::function<Timestamp()> provider);
+  /// Returns a nonzero handle for UnregisterExternalMinProvider.
+  uint64_t RegisterExternalMinProvider(std::function<Timestamp()> provider);
+
+  /// Stop consulting a provider. On return no MinActive() call is still
+  /// running it, so the structure it reads may be destroyed.
+  void UnregisterExternalMinProvider(uint64_t handle);
 
   /// Number of currently pinned operations (for tests / introspection).
   int ActiveCount() const;
@@ -117,7 +122,8 @@ class EpochManager {
   std::atomic<Timestamp> clock_;
 
   mutable std::mutex providers_mu_;
-  std::vector<std::function<Timestamp()>> providers_;
+  std::map<uint64_t, std::function<Timestamp()>> providers_;
+  uint64_t next_provider_ = 1;
 };
 
 }  // namespace obtree

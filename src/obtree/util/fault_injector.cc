@@ -8,7 +8,6 @@
 namespace obtree {
 
 std::atomic<uint64_t> FaultInjector::trap_refs_{0};
-thread_local int FaultInjector::tl_exempt_depth_ = 0;
 
 FaultInjector& FaultInjector::Instance() {
   // Leaked on purpose: sites may be evaluated by threads that outlive main

@@ -186,7 +186,10 @@ class FaultInjector {
   static uint64_t NextRand(uint64_t* state);
 
   static std::atomic<uint64_t> trap_refs_;
-  static thread_local int tl_exempt_depth_;
+  // Defined in-class: an out-of-line thread_local is reached through gcc's
+  // TLS wrapper, whose UBSan null check reads flags the linker's TLS
+  // relaxation no longer sets (a false "load of null pointer").
+  static inline thread_local int tl_exempt_depth_ = 0;
 
   mutable std::mutex mu_;
   std::map<std::string, Site> sites_;

@@ -297,16 +297,11 @@ TEST(TryCollapseRootTest, CollapsesMultiLevelSingleChildChain) {
 
 struct QueueFixture {
   TreeOptions options = K2();
-  SagivTree tree{[] {
-    TreeOptions o = K2();
-    o.enqueue_underfull_on_delete = true;
-    return o;
-  }()};
+  SagivTree tree{K2()};
   CompressionQueue queue;
   QueueCompressor compressor{&tree, &queue};
 
   QueueFixture() {
-    queue.RegisterWith(tree.epoch());
     tree.AttachCompressionQueue(&queue);
   }
 

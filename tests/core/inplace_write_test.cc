@@ -83,7 +83,6 @@ TEST(InplaceWriteTest, CopyModeNeverWritesInPlace) {
 
 TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
   TreeOptions options = SmallNodes(true);
-  options.enqueue_underfull_on_delete = true;
   SagivTree tree(options);
   CompressionQueue queue;
   tree.AttachCompressionQueue(&queue);

@@ -33,17 +33,12 @@ TreeOptions SmallNodes(bool optimistic) {
 TEST(OptimisticReadTest, OptimisticAndCopyModesAgree) {
   // Both trees feed a compression queue so the delete phase below can
   // shrink them back through merges.
-  TreeOptions optimistic_options = SmallNodes(true);
-  TreeOptions copy_options = SmallNodes(false);
-  optimistic_options.enqueue_underfull_on_delete = true;
-  copy_options.enqueue_underfull_on_delete = true;
-  SagivTree optimistic(optimistic_options);
-  SagivTree copy(copy_options);
+  SagivTree optimistic(SmallNodes(true));
+  SagivTree copy(SmallNodes(false));
   CompressionQueue optimistic_queue;
   CompressionQueue copy_queue;
   for (auto [tree, queue] : {std::pair(&optimistic, &optimistic_queue),
                              std::pair(&copy, &copy_queue)}) {
-    queue->RegisterWith(tree->epoch());
     tree->AttachCompressionQueue(queue);
   }
   // Point lookups, range scans and batched lookups must return exactly the

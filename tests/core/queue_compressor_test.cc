@@ -24,10 +24,8 @@ struct QueueSetup {
 
   explicit QueueSetup(uint32_t k) {
     options.min_entries = k;
-    options.enqueue_underfull_on_delete = true;
     tree = std::make_unique<SagivTree>(options);
     queue = std::make_unique<CompressionQueue>();
-    queue->RegisterWith(tree->epoch());
     tree->AttachCompressionQueue(queue.get());
   }
 };

@@ -213,10 +213,8 @@ TEST(ConcurrentCompressionTest, MultipleQueueCompressorsSharedQueue) {
   // Deployment (2) of Section 5.4: several compression processes share one
   // queue, running with several updater threads.
   TreeOptions opt = SmallNodes(3);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
 
   std::atomic<bool> stop{false};
@@ -275,10 +273,8 @@ TEST(ConcurrentCompressionTest, MultipleQueueCompressorsSharedQueue) {
 
 TEST(ConcurrentCompressionTest, ScansSurviveCompression) {
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
   for (Key k = 1; k <= 5000; ++k) ASSERT_TRUE(tree.Insert(k, k).ok());
 
@@ -327,10 +323,8 @@ TEST(DeadlockTest, TinyNodesMaximumContention) {
   // Completion within the test timeout demonstrates deadlock freedom
   // (Theorem 2).
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
 
   std::atomic<bool> stop{false};
@@ -388,10 +382,8 @@ TEST(ReclamationTest, NoPageReusedUnderActiveGuards) {
   // deletes and reclaims pages. Any premature reuse shows up as a checker
   // or search failure (reused pages would contain foreign nodes).
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
 
   std::atomic<bool> stop{false};

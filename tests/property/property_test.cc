@@ -174,10 +174,8 @@ TEST_P(SeedSweep, FuzzAgainstReferenceWithCompression) {
   const uint64_t seed = GetParam();
   TreeOptions options;
   options.min_entries = 2 + seed % 5;
-  options.enqueue_underfull_on_delete = true;
   SagivTree tree(options);
   CompressionQueue queue;
-  queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
   QueueCompressor compressor(&tree, &queue);
 

@@ -202,7 +202,8 @@ TEST_F(PageManagerTest, OptimisticReadValidatesWhenUnchanged) {
   pm_.Put(*id, w);
   PageManager::ReadGuard g = pm_.OptimisticRead(*id);
   ASSERT_TRUE(g.stable());
-  EXPECT_EQ(__atomic_load_n(g.page()->bytes, __ATOMIC_RELAXED), 7);
+  EXPECT_EQ(
+      SeqLock::Load(reinterpret_cast<const uint64_t*>(g.page()->bytes)), 7u);
   EXPECT_TRUE(g.Validate());
   EXPECT_TRUE(g.Validate());  // validation is repeatable
 }
@@ -264,15 +265,13 @@ TEST_F(PageManagerTest, ValidatedOptimisticReadsAreNeverTorn) {
       while (!stop.load(std::memory_order_relaxed)) {
         PageManager::ReadGuard g = pm_.OptimisticRead(*id);
         if (!g.stable()) continue;
-        // Sample words across the page through relaxed atomic loads (the
+        // Sample words across the page through SeqLock's word loads (the
         // only defined way to touch a concurrently-rewritten page).
         const auto* words =
             reinterpret_cast<const uint64_t*>(g.page()->bytes);
-        uint64_t first = __atomic_load_n(&words[0], __ATOMIC_RELAXED);
-        uint64_t last =
-            __atomic_load_n(&words[kPageSize / 8 - 1], __ATOMIC_RELAXED);
-        uint64_t mid =
-            __atomic_load_n(&words[kPageSize / 16], __ATOMIC_RELAXED);
+        uint64_t first = SeqLock::Load(&words[0]);
+        uint64_t last = SeqLock::Load(&words[kPageSize / 8 - 1]);
+        uint64_t mid = SeqLock::Load(&words[kPageSize / 16]);
         if (!g.Validate()) continue;  // discarded: may be torn
         ++ok;
         if (first != last || first != mid ||
@@ -304,8 +303,8 @@ TEST_F(PageManagerTest, WriteGuardPublishesInPlaceStores) {
     PageManager::WriteGuard wg = pm_.BeginWrite(*id);
     ASSERT_TRUE(wg.held());
     auto* words = reinterpret_cast<uint64_t*>(wg.page()->bytes);
-    PageStoreWord(&words[0], 0x42);
-    PageStoreWord(&words[kPageSize / 8 - 1], 0x43);
+    SeqLock::Store(&words[0], 0x42);
+    SeqLock::Store(&words[kPageSize / 8 - 1], 0x43);
     wg.Release();
     EXPECT_FALSE(wg.held());
   }
@@ -391,6 +390,47 @@ TEST_F(PageManagerTest, WriteGuardBlocksCopyReadersUntilRelease) {
   reader.join();
   EXPECT_TRUE(read_done.load());
   pm_.Unlock(*id);
+}
+
+// Every writer waits for an even version, Allocate's reuse of a page
+// included. Reuse must not zero a page while another write on it is in
+// flight, nor turn its version even in the middle of that write.
+TEST_F(PageManagerTest, AllocateReuseWaitsForWriteInFlight) {
+  auto id = pm_.Allocate();
+  ASSERT_TRUE(id.ok());
+  Page w;
+  std::memset(w.bytes, 0xAB, kPageSize);
+  pm_.Put(*id, w);
+  const uint64_t before = pm_.OptimisticRead(*id).version();
+  pm_.Lock(*id);
+  PageManager::WriteGuard wg = pm_.BeginWrite(*id);
+  const uint64_t during = pm_.OptimisticRead(*id).version();
+  EXPECT_EQ(during % 2, 1u);
+  pm_.Retire(*id);
+  ASSERT_EQ(pm_.Reclaim(), 1u);
+
+  std::atomic<bool> returned{false};
+  PageId reused = kInvalidPageId;
+  std::thread allocator([&]() {
+    auto r = pm_.Allocate();
+    if (r.ok()) reused = *r;
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load()) << "Allocate reused a page mid-write";
+  EXPECT_FALSE(pm_.OptimisticRead(*id).stable());
+  wg.Release();
+  pm_.Unlock(*id);
+  allocator.join();
+
+  EXPECT_EQ(reused, *id);
+  const uint64_t after = pm_.OptimisticRead(*id).version();
+  EXPECT_EQ(after % 2, 0u);
+  EXPECT_GT(after, during);
+  EXPECT_GT(after, before);
+  Page r;
+  pm_.Get(*id, &r);
+  for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r.bytes[i], 0u) << i;
 }
 
 // Seqlock torture: a writer alternates between two full-page patterns while

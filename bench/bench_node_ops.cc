@@ -3,7 +3,11 @@
 // E9: node-level micro-benchmarks. The paper's cost model counts node
 // reads/writes; these measure what one such operation costs on the
 // in-memory page substrate: in-node binary search, leaf insert/remove,
-// split, merge, redistribution, and the seqlock get/put page copies.
+// split, merge, redistribution, the seqlock get/put page copies, and the
+// oldest-key (head) removal on one core and ping-ponged between two.
+
+#include <atomic>
+#include <thread>
 
 #include <benchmark/benchmark.h>
 
@@ -19,9 +23,8 @@ Node MakeFullLeaf(uint32_t count) {
   Node n;
   n.Init(0, 0, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < count; ++i) {
-    n.entries[i] = Entry{static_cast<Key>(i) * 10 + 10, i};
+    n.AppendEntry(Entry{static_cast<Key>(i) * 10 + 10, i});
   }
-  n.count = count;
   return n;
 }
 
@@ -77,9 +80,8 @@ void BM_NodeMerge(benchmark::State& state) {
   Node right;
   right.Init(0, 1000, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < 60; ++i) {
-    right.entries[i] = Entry{2000 + static_cast<Key>(i), i};
+    right.AppendEntry(Entry{2000 + static_cast<Key>(i), i});
   }
-  right.count = 60;
   for (auto _ : state) {
     Node a = left;
     a.MergeFromRight(right);
@@ -95,9 +97,8 @@ void BM_NodeRedistribute(benchmark::State& state) {
   Node right_proto;
   right_proto.Init(0, 200, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < 200; ++i) {
-    right_proto.entries[i] = Entry{1000 + static_cast<Key>(i), i};
+    right_proto.AppendEntry(Entry{1000 + static_cast<Key>(i), i});
   }
-  right_proto.count = 200;
   for (auto _ : state) {
     Node a = left_proto;
     Node b = right_proto;
@@ -135,9 +136,8 @@ void BM_PageOptimisticProbe(benchmark::State& state) {
   Node* n = w.As<Node>();
   n->Init(0, 0, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < 254; ++i) {
-    n->entries[i] = Entry{static_cast<Key>(i) * 10 + 10, i};
+    n->AppendEntry(Entry{static_cast<Key>(i) * 10 + 10, i});
   }
-  n->count = 254;
   pm.Put(id, w);
   Random rng(4);
   for (auto _ : state) {
@@ -207,9 +207,8 @@ void BM_PageCopyMutate(benchmark::State& state) {
   Node* n = w.As<Node>();
   n->Init(0, 0, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < 128; ++i) {
-    n->entries[i] = Entry{static_cast<Key>(i) * 10 + 10, i};
+    n->AppendEntry(Entry{static_cast<Key>(i) * 10 + 10, i});
   }
-  n->count = 128;
   pm.Put(id, w);
   Page r;
   bool present = false;
@@ -240,9 +239,8 @@ void BM_PageInplaceMutate(benchmark::State& state) {
   Node* n = w.As<Node>();
   n->Init(0, 0, kPlusInfinity, kInvalidPageId);
   for (uint32_t i = 0; i < 128; ++i) {
-    n->entries[i] = Entry{static_cast<Key>(i) * 10 + 10, i};
+    n->AppendEntry(Entry{static_cast<Key>(i) * 10 + 10, i});
   }
-  n->count = 128;
   pm.Put(id, w);
   bool present = false;
   for (auto _ : state) {
@@ -261,6 +259,81 @@ void BM_PageInplaceMutate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageInplaceMutate);
+
+// The oldest-key erase at node granularity. Each op is one step of a
+// time-ordered window on a live 120-entry leaf: under one lock and one
+// write bracket it removes the smallest key (RemoveLeafEntryAtInPlace(0))
+// and appends a new largest one, so the leaf keeps its size. The removal
+// stores two header words (the head offset moves); a layout without the
+// offset shifts the other 119 entries instead.
+void SlideLeafWindow(PageManager* pm, PageId id) {
+  pm->Lock(id);
+  PageManager::WriteGuard wg = pm->BeginWrite(id);
+  Node* node = wg.page()->As<Node>();
+  const Key next = node->entry(node->count - 1u).key + 1;
+  benchmark::DoNotOptimize(node->RemoveLeafEntryAtInPlace(0));
+  benchmark::DoNotOptimize(node->AppendLeafEntryInPlace(next, next));
+  wg.Release();
+  pm->Unlock(id);
+}
+
+PageId MakeLiveLeaf(PageManager* pm) {
+  const PageId id = *pm->Allocate();
+  Page w{};
+  Node* n = w.As<Node>();
+  n->Init(0, 0, kPlusInfinity, kInvalidPageId);
+  for (uint32_t i = 0; i < 120; ++i) {
+    n->AppendEntry(Entry{static_cast<Key>(i) + 1, i});
+  }
+  pm->Put(id, w);
+  return id;
+}
+
+// One thread: the leaf stays in this core's cache.
+void BM_LeafHeadRemove(benchmark::State& state) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats);
+  const PageId id = MakeLiveLeaf(&pm);
+  for (auto _ : state) SlideLeafWindow(&pm, id);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LeafHeadRemove);
+
+// Two threads take strict turns on the same leaf, as concurrent erasers
+// of the oldest key do: every op first pulls the lines the other core
+// dirtied. Each iteration is one op here plus one on the partner; items
+// count both, so items/s is ops/s.
+void BM_LeafHeadRemovePingPong(benchmark::State& state) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats);
+  const PageId id = MakeLiveLeaf(&pm);
+  enum : int { kMine, kPartner, kStop };
+  std::atomic<int> turn{kMine};
+  std::thread partner([&] {
+    for (;;) {
+      int t;
+      while ((t = turn.load(std::memory_order_acquire)) == kMine) {
+        PaperLock::CpuRelax();
+      }
+      if (t == kStop) return;
+      SlideLeafWindow(&pm, id);
+      turn.store(kMine, std::memory_order_release);
+    }
+  });
+  for (auto _ : state) {
+    SlideLeafWindow(&pm, id);
+    turn.store(kPartner, std::memory_order_release);
+    while (turn.load(std::memory_order_acquire) != kMine) {
+      PaperLock::CpuRelax();
+    }
+  }
+  turn.store(kStop, std::memory_order_release);
+  partner.join();
+  state.SetItemsProcessed(2 * static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LeafHeadRemovePingPong)->UseRealTime();
 
 void BM_PaperLockUncontended(benchmark::State& state) {
   EpochManager epoch;

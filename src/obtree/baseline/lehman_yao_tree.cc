@@ -138,9 +138,8 @@ Status LehmanYaoTree::Insert(Key key, Value value) {
       root->Init(static_cast<uint16_t>(node->level + 1), kMinusInfinity,
                  kPlusInfinity, kInvalidPageId);
       root->set_root(true);
-      root->entries[0] = Entry{node->high, current};
-      root->entries[1] = Entry{right->high, *right_page};
-      root->count = 2;
+      root->AppendEntry(Entry{node->high, current});
+      root->AppendEntry(Entry{right->high, *right_page});
       pager_->Put(*root_page, root_buf);
       PrimeBlockData pb = prime_.Read();
       pb.leftmost[pb.num_levels] = *root_page;
@@ -250,9 +249,9 @@ size_t LehmanYaoTree::Scan(Key lo, Key hi,
       continue;
     }
     for (uint32_t i = node->LowerBound(next_key); i < node->count; ++i) {
-      if (node->entries[i].key > hi) return visited;
+      if (node->entry(i).key > hi) return visited;
       ++visited;
-      if (!visitor(node->entries[i].key, node->entries[i].value)) {
+      if (!visitor(node->entry(i).key, node->entry(i).value)) {
         return visited;
       }
     }

@@ -114,9 +114,8 @@ PageId LockCouplingTree::AcquireRootForWrite(Page* page) {
     new_root->Init(static_cast<uint16_t>(node->level + 1), kMinusInfinity,
                    kPlusInfinity, kInvalidPageId);
     new_root->set_root(true);
-    new_root->entries[0] = Entry{node->high, root_page};
-    new_root->entries[1] = Entry{right->high, *right_page};
-    new_root->count = 2;
+    new_root->AppendEntry(Entry{node->high, root_page});
+    new_root->AppendEntry(Entry{right->high, *right_page});
     pager_->Put(*new_root_page, root_buf);
     PrimeBlockData updated = prime_.Read();
     updated.leftmost[updated.num_levels] = *new_root_page;
@@ -305,12 +304,12 @@ size_t LockCouplingTree::Scan(Key lo, Key hi,
   Key next_key = lo;
   for (;;) {
     for (uint32_t i = node->LowerBound(next_key); i < node->count; ++i) {
-      if (node->entries[i].key > hi) {
+      if (node->entry(i).key > hi) {
         latches_->Latch(current)->unlock_shared();
         return visited;
       }
       ++visited;
-      if (!visitor(node->entries[i].key, node->entries[i].value)) {
+      if (!visitor(node->entry(i).key, node->entry(i).value)) {
         latches_->Latch(current)->unlock_shared();
         return visited;
       }

@@ -83,7 +83,7 @@ class LockCouplingTree {
   // *page.
   PageId AcquireRootForWrite(Page* page);
 
-  // Split the full child at entries[idx] of the write-latched parent.
+  // Split the full child at entry idx of the write-latched parent.
   // Both images are updated and written; the new sibling's page id is
   // returned. No latches change hands.
   PageId SplitChild(Page* parent, PageId parent_page, Page* child,

@@ -3,7 +3,6 @@
 #include "obtree/core/bulk_loader.h"
 
 #include <cmath>
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -73,14 +72,14 @@ std::vector<Built> BuildLevel(PageManager* pager, uint16_t level,
     Node* node = page.As<Node>();
     node->Init(level, low, /*high=*/0,
                last ? kInvalidPageId : built[i + 1].page);
-    std::memcpy(node->entries, &entries[cursor],
-                sizes[i] * sizeof(Entry));
-    node->count = sizes[i];
+    for (uint32_t j = 0; j < sizes[i]; ++j) {
+      node->AppendEntry(entries[cursor + j]);
+    }
     cursor += sizes[i];
     // Leaf high: last key, +inf on the rightmost. Internal high: the last
     // upper bound (which already carries +inf on the rightmost).
     node->high = (level == 0 && last) ? kPlusInfinity
-                                      : node->entries[node->count - 1].key;
+                                      : node->entry(node->count - 1).key;
     pager->Put(built[i].page, page);
     built[i].high = node->high;
     low = node->high;

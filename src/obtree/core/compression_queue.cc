@@ -17,6 +17,16 @@ void CompressionQueue::Push(CompressionTask task, bool update_if_present) {
   }
 }
 
+void CompressionQueue::PushFromHolder(PageId node, uint32_t level, Key high,
+                                      Timestamp stamp,
+                                      const std::vector<PageId>& stack) {
+  std::lock_guard<std::mutex> l(mu_);
+  CompressionTask& task = tasks_[node];
+  if (task.node == node && task.high == high) return;  // nothing new
+  task = CompressionTask{node, level, high, stamp, stack};
+  size_.store(tasks_.size(), std::memory_order_release);
+}
+
 bool CompressionQueue::Pop(CompressionTask* out) {
   std::lock_guard<std::mutex> l(mu_);
   if (tasks_.empty()) return false;

@@ -51,6 +51,14 @@ class CompressionQueue {
   /// (requeue in case (2)) must not overwrite fresher information.
   void Push(CompressionTask task, bool update_if_present);
 
+  /// The lock holder's Push(task, true), for a deletion that finds its leaf
+  /// under-full: the task is built here, from these fields, only when it
+  /// changes the queue. A node already queued with the same high value
+  /// keeps its record, whose stack and stamp remain a valid pair, so a
+  /// repeat deletion on a queued leaf copies no stack and rewrites nothing.
+  void PushFromHolder(PageId node, uint32_t level, Key high, Timestamp stamp,
+                      const std::vector<PageId>& stack);
+
   /// Remove and return the queued task with the highest level (footnote
   /// 17: compress parents before children). Returns false when empty.
   /// The task's stamp remains accounted in MinStamp() until FinishTask.

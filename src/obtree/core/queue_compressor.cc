@@ -77,7 +77,7 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
   // points to A.
   const int found = fn->FindChildIndex(task.node);
   const bool pair_ok = found >= 0 &&
-                       fn->entries[static_cast<uint32_t>(found)].key ==
+                       fn->entry(static_cast<uint32_t>(found)).key ==
                            task.high;
   if (!pair_ok) {
     Page a_probe;
@@ -150,7 +150,7 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
       pager->Get(right_page, &b_buf);
       Node* bn = b_buf.As<Node>();
       const bool adjacent =
-          static_cast<PageId>(fn->entries[idx + 1].value) == right_page &&
+          static_cast<PageId>(fn->entry(idx + 1).value) == right_page &&
           !bn->is_deleted();
       if (adjacent) {
         if (an->count >= k && bn->count >= k) {
@@ -193,7 +193,7 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
     return Outcome::kRequeued;
   }
 
-  const PageId b_page = static_cast<PageId>(fn->entries[idx - 1].value);
+  const PageId b_page = static_cast<PageId>(fn->entry(idx - 1).value);
   pager->Lock(b_page);
   Page b_buf;
   pager->Get(b_page, &b_buf);

@@ -36,8 +36,8 @@ RearrangeResult RearrangePair(SagivTree* tree, Page* f, PageId f_page,
   Node* rn = right->As<Node>();
 
   assert(idx + 1 < fn->count);
-  assert(static_cast<PageId>(fn->entries[idx].value) == left_page);
-  assert(static_cast<PageId>(fn->entries[idx + 1].value) == right_page);
+  assert(static_cast<PageId>(fn->entry(idx).value) == left_page);
+  assert(static_cast<PageId>(fn->entry(idx + 1).value) == right_page);
   assert(ln->link == right_page);
 
   RearrangeResult result;
@@ -49,7 +49,7 @@ RearrangeResult RearrangePair(SagivTree* tree, Page* f, PageId f_page,
     return result;
   }
 
-  const Key old_sep = fn->entries[idx].key;
+  const Key old_sep = fn->entry(idx).key;
 
   if (ln->count + rn->count <= tree->options().capacity()) {
     // Merge: all pairs of right are shifted into left; the high value and
@@ -178,7 +178,7 @@ size_t TryCollapseRoot(SagivTree* tree) {
     std::vector<PageId> chain{root_page};       // nodes to delete, top first
     std::vector<Page> images;
     images.emplace_back(root_buf);
-    PageId child_page = static_cast<PageId>(root->entries[0].value);
+    PageId child_page = static_cast<PageId>(root->entry(0).value);
     Page child_buf;
     Node* child = child_buf.As<Node>();
     bool abort = false;
@@ -193,7 +193,7 @@ size_t TryCollapseRoot(SagivTree* tree) {
       if (!child->is_leaf() && child->count == 1) {
         chain.push_back(child_page);
         images.emplace_back(child_buf);
-        child_page = static_cast<PageId>(child->entries[0].value);
+        child_page = static_cast<PageId>(child->entry(0).value);
         continue;
       }
       break;  // child is the new root D

@@ -50,8 +50,8 @@ struct RearrangeResult {
 
 /// Perform the rearrangement. Preconditions (all verified by the caller
 /// while holding the three locks):
-///   * `f_page` is locked; *f is its image; f->entries[idx] points to
-///     `left_page` and f->entries[idx+1] points to `right_page`;
+///   * `f_page` is locked; *f is its image; f->entry(idx) points to
+///     `left_page` and f->entry(idx+1) points to `right_page`;
 ///   * `left_page` and `right_page` are locked; *left / *right are their
 ///     images; left->link == right_page.
 /// If neither child is under-full, unlocks all three and reports neither

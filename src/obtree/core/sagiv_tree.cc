@@ -796,8 +796,8 @@ uint32_t SagivTree::TailSplitKeep(const Node* node, Key key) const {
   }
   const uint32_t n = node->count;
   const bool max_extending = node->is_leaf()
-                                 ? node->entries[n - 1].key == key
-                                 : node->entries[n - 2].key == key;
+                                 ? node->entry(n - 1).key == key
+                                 : node->entry(n - 2).key == key;
   return max_extending ? n - 1 : 0;
 }
 
@@ -912,9 +912,8 @@ Status SagivTree::InsertIntoUnsafeRoot(Page* page, PageId page_id, Key key,
   root->Init(static_cast<uint16_t>(node->level + 1), kMinusInfinity,
              kPlusInfinity, kInvalidPageId);
   root->set_root(true);
-  root->entries[0] = Entry{node->high, page_id};
-  root->entries[1] = Entry{right->high, *right_page};
-  root->count = 2;
+  root->AppendEntry(Entry{node->high, page_id});
+  root->AppendEntry(Entry{right->high, *right_page});
   pager_->Put(*root_page, root_buf);
 
   PrimeBlockData pb = prime_.Read();
@@ -1098,7 +1097,7 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
 
     if (level == 0) {
       const uint32_t idx = view->LowerBound(ins_key);
-      if (idx < view->count && view->entries[idx].key == ins_key) {
+      if (idx < view->count && view->entry(idx).key == ins_key) {
         if (!overwrite) {
           pager_->Unlock(current);
           return Status::AlreadyExists("key already in the tree");
@@ -1115,7 +1114,7 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
           stats_->Add(StatId::kInplaceWrites);
           stats_->Add(StatId::kWriteBytesInplace, bytes);
         } else {
-          node->entries[idx].value = value;
+          node->entry(idx).value = value;
           pager_->Put(current, page);
           pager_->Unlock(current);
           stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
@@ -1226,7 +1225,7 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
     // One search serves both the presence check and the removal: the
     // lock pins the live image, so the index cannot shift in between.
     const uint32_t idx = view->LowerBound(key);
-    if (idx >= view->count || view->entries[idx].key != key) {
+    if (idx >= view->count || view->entry(idx).key != key) {
       pager_->Unlock(leaf);
       return Status::NotFound();
     }
@@ -1243,22 +1242,17 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
     pager_->Put(leaf, page);
     stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
   }
-  size_.fetch_sub(1, std::memory_order_relaxed);
-
   // §5.4: while still holding the lock, record the leaf for compression if
   // it fell below half full.
   if (want_stack && view->count < options_.min_entries && !view->is_root()) {
-    CompressionTask task;
-    task.node = leaf;
-    task.level = 0;
-    task.high = view->high;
-    task.stamp = guard.start_time();
-    // Copy, not move: the stack may be the shared thread-local buffer.
-    task.stack = stack;
-    queue->Push(std::move(task), /*update_if_present=*/true);
+    queue->PushFromHolder(leaf, /*level=*/0, view->high, guard.start_time(),
+                          stack);
     stats_->Add(StatId::kQueueEnqueues);
   }
   pager_->Unlock(leaf);
+  // Outside the lock, as in TryAppendFast; still inside the caller's
+  // MutatorScope, so a checkpoint's size stays exact.
+  size_.fetch_sub(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

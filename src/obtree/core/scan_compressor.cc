@@ -29,7 +29,7 @@ bool StepPast(PageManager* pager, Page* f, uint32_t parent_level,
   if (live) {
     const int found = fn->FindChildIndex(child);
     if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
-      *one = static_cast<PageId>(fn->entries[found + 1].value);
+      *one = static_cast<PageId>(fn->entry(found + 1).value);
     } else {
       *current = fn->link;
       *one = kInvalidPageId;
@@ -49,7 +49,7 @@ ScanCompressor::Advance ScanCompressor::ProcessPair(Page* f, PageId f_page,
   const uint32_t k = tree_->options().min_entries;
   Node* fn = f->As<Node>();
 
-  const PageId left_page = static_cast<PageId>(fn->entries[idx].value);
+  const PageId left_page = static_cast<PageId>(fn->entry(idx).value);
   pager->Lock(left_page);
   Page left_buf;
   pager->Get(left_page, &left_buf);
@@ -78,7 +78,7 @@ ScanCompressor::Advance ScanCompressor::ProcessPair(Page* f, PageId f_page,
   // Is `two` in F, adjacent to `one`? (Fig. 7's "if two is in F".)
   const bool adjacent =
       idx + 1 < fn->count &&
-      static_cast<PageId>(fn->entries[idx + 1].value) == right_page;
+      static_cast<PageId>(fn->entry(idx + 1).value) == right_page;
 
   if (adjacent) {
     if (left->count < k || right->count < k) {
@@ -170,7 +170,7 @@ size_t ScanCompressor::CompressLevel(uint32_t level) {
       continue;
     }
 
-    const PageId this_child = static_cast<PageId>(fn->entries[idx].value);
+    const PageId this_child = static_cast<PageId>(fn->entry(idx).value);
     const Advance advance = ProcessPair(&f_buf, current, idx, &work);
     // ProcessPair released every lock (including F's).
     switch (advance) {

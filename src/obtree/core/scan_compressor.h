@@ -39,13 +39,13 @@ class ScanCompressor {
   void set_paper_write_order(bool on) { paper_write_order_ = on; }
 
  private:
-  // Process the pair whose LEFT child is f->entries[idx]; the caller holds
+  // Process the pair whose LEFT child is f->entry(idx); the caller holds
   // only the lock on f_page and transfers it to this call, which releases
   // all locks it holds by return. Outputs how the sweep should advance.
   enum class Advance {
     kStayOnLeft,    // pair merged: re-examine the same left child
     kToRight,       // move to the right child of the pair
-    kSkipEntry,     // move to f->entries[idx+1] without pairing
+    kSkipEntry,     // move to f->entry(idx+1) without pairing
     kNextParent,    // done with this parent, follow its link
     kRetryPair,     // transient conflict: retry the same pair after yield
     kLevelDone,     // reached the rightmost node of the level

@@ -97,12 +97,18 @@ Status TreeChecker::CheckStructure(bool require_half_full) const {
         return Status::Internal(Msg("low >= high", current, *node));
       }
       const bool is_sole_root_leaf = pb.num_levels == 1;
+      if (!node->live_range_ok()) {
+        // Checked before any entry is read: the range would run off the
+        // page.
+        return Status::Internal(
+            Msg("live range past the slot array", current, *node));
+      }
       if (node->count == 0 && level > 0) {
         return Status::Internal(Msg("empty internal node", current, *node));
       }
       Key prev_key = node->low;
       for (uint32_t i = 0; i < node->count; ++i) {
-        const Key key = node->entries[i].key;
+        const Key key = node->entry(i).key;
         if (key <= prev_key) {
           return Status::Internal(
               Msg("entries not strictly increasing", current, *node));
@@ -113,7 +119,7 @@ Status TreeChecker::CheckStructure(bool require_half_full) const {
         prev_key = key;
       }
       if (level > 0 && node->count > 0 &&
-          node->entries[node->count - 1].key != node->high) {
+          node->entry(node->count - 1).key != node->high) {
         return Status::Internal(
             Msg("internal high != last entry key", current, *node));
       }
@@ -127,8 +133,7 @@ Status TreeChecker::CheckStructure(bool require_half_full) const {
       if (level == 0) {
         leaf_keys += node->count;
       } else {
-        internal_entries.emplace_back(node->entries,
-                                      node->entries + node->count);
+        internal_entries.emplace_back(node->live_begin(), node->live_end());
       }
       this_level.push_back(NodeFacts{current, node->high});
       prev_high = node->high;

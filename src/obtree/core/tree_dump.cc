@@ -31,12 +31,14 @@ void PrintNode(std::ostream* os, PageId page, const Node& node,
   *os << "]";
   if (node.is_root()) *os << " root";
   if (node.is_deleted()) *os << " DELETED->" << node.merge_target;
-  if (options.show_entries) {
+  if (options.show_entries && !node.live_range_ok()) {
+    *os << " {first=" << node.first << ": live range past the slots}";
+  } else if (options.show_entries) {
     *os << " {";
     for (uint32_t i = 0; i < node.count; ++i) {
       if (i) *os << " ";
-      PrintKey(os, node.entries[i].key);
-      *os << (node.is_leaf() ? "=" : ">") << node.entries[i].value;
+      PrintKey(os, node.entry(i).key);
+      *os << (node.is_leaf() ? "=" : ">") << node.entry(i).value;
     }
     *os << "}";
   }

@@ -3,13 +3,22 @@
 // On-page layout and manipulation of B-link nodes (Section 2.1).
 //
 // A node stores, in one page:
-//   * its level (0 = leaf), flags (root / deleted), entry count;
+//   * its level (0 = leaf), flags (root / deleted), entry count and head
+//     offset;
 //   * its low value v0 (explicitly stored — required by the compression
 //     protocol, Section 5.1) and high value v_{i+1};
 //   * its link pointer p_{i+1} (right neighbor at the same level);
 //   * a merge pointer, set when the node is deleted, naming the node its
 //     data was merged into (the reader-recovery device of Section 5.2);
 //   * a sorted array of (key, value) entries.
+//
+// The entries live in slots[first, first + count) of a fixed slot array.
+// Sagiv's nodes (Section 2.1) fix only the range (low, high], not a
+// layout; the head offset makes removing the smallest key — the oldest-key
+// erases of a time-ordered window hit the leftmost leaf's head on every
+// call — two header stores instead of a shift of the whole leaf. Live
+// index i (what every accessor and every method argument means) is slot
+// first + i; only node.{h,cc} touch `slots` directly.
 //
 // Entry semantics differ by level:
 //   * Leaf: (v, p) — p is the record handle for key v.
@@ -25,6 +34,7 @@
 #define OBTREE_NODE_NODE_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -53,7 +63,8 @@ struct Node {
   // --- header -----------------------------------------------------------
   uint16_t level;        ///< 0 for leaves
   uint16_t flags;        ///< NodeFlags
-  uint32_t count;        ///< number of live entries
+  uint16_t count;        ///< number of live entries
+  uint16_t first;        ///< slot of live entry 0 (zero in old images)
   Key low;               ///< v0: high value of the left neighbor, or 0
   Key high;              ///< v_{i+1}: largest key in this subtree
   PageId link;           ///< right neighbor, kInvalidPageId for rightmost
@@ -62,7 +73,39 @@ struct Node {
   static constexpr size_t kHeaderSize = 32;
   static constexpr size_t kMaxEntries = (kPageSize - kHeaderSize) / sizeof(Entry);
 
-  Entry entries[kMaxEntries];
+  Entry slots[kMaxEntries];  ///< raw; index through entry(i)
+
+  // --- live entries -------------------------------------------------------
+
+  /// Live entry i (slot first + i). Requires i < count.
+  Entry& entry(uint32_t i) {
+    assert(i < count);
+    return slots[first + i];
+  }
+  const Entry& entry(uint32_t i) const {
+    assert(i < count);
+    return slots[first + i];
+  }
+  const Entry* live_begin() const { return slots + first; }
+  const Entry* live_end() const { return slots + first + count; }
+
+  /// True iff the live range fits the slot array. Every image this code
+  /// writes keeps it; the checker reports a page that does not.
+  bool live_range_ok() const {
+    return static_cast<uint32_t>(first) + count <= kMaxEntries;
+  }
+
+  /// Append e past the last live entry of a private image (building a
+  /// node: roots, bulk-loaded levels, tests). No order check.
+  void AppendEntry(const Entry& e) {
+    if (first + count == kMaxEntries) Compact();
+    assert(count < kMaxEntries);
+    slots[first + count] = e;
+    count++;
+  }
+
+  /// Move the live entries of a private image to slot 0 (first = 0).
+  void Compact();
 
   // --- predicates ---------------------------------------------------------
   bool is_leaf() const { return level == 0; }
@@ -83,6 +126,7 @@ struct Node {
     level = lvl;
     flags = 0;
     count = 0;
+    first = 0;
     low = low_value;
     high = high_value;
     link = link_ptr;
@@ -128,7 +172,12 @@ struct Node {
   // invariant), which is why the PLAIN reads these methods do (binary
   // search, shift sources) are race-free.
   //
-  // The insert/remove primitives store the entry count LAST, so a torn
+  // The insert/remove primitives shift whichever side of the live range
+  // is smaller and has room (moving `first` when the head side moves), so
+  // removing live entry 0 stores only the two header words. An insert or
+  // append whose range has reached the end of the slot array compacts it
+  // to slot 0 first; that is rare, since kMaxEntries exceeds capacity()
+  // by at least two slots. They store the entry count LAST, so a torn
   // image never claims entries that were not yet shifted into place —
   // NodeView clamps, the seqlock discards.
   //
@@ -136,23 +185,24 @@ struct Node {
   // stats — with 0 meaning "no change" (separator already present).
   // Compare >= 8 KB for the copy path's Get + Put cycle.
 
-  /// In-place InsertLeafEntry: shifts the tail up one slot back-to-front
-  /// and publishes the new count last. Same preconditions.
+  /// In-place InsertLeafEntry: opens a slot by shifting the smaller side
+  /// of the live range and publishes the new count last. Same
+  /// preconditions.
   size_t InsertLeafEntryInPlace(Key k, Value v);
 
   /// In-place append of (k, v) past the current last entry: no tail shift
-  /// at all — two word stores into the slot at index count, then the new
+  /// at all — two word stores into the slot past the live range, then the new
   /// count published last (a racing optimistic reader either sees the old
   /// count and ignores the slot, or a moved seqlock version and discards
   /// everything). The rightmost-insert fast path's leaf primitive.
   /// Preconditions: leaf, count < kMaxEntries, and k greater than every
-  /// stored key (k > entries[count-1].key, or any k when empty).
+  /// stored key (k > entry(count-1).key, or any k when empty).
   size_t AppendLeafEntryInPlace(Key k, Value v);
 
   /// In-place RemoveLeafEntry, by index: the caller already located the
   /// entry (LowerBound under the same lock), so the removal does not
-  /// repeat the search. Shifts the tail down one slot front-to-back.
-  /// Precondition: i < count.
+  /// repeat the search. Closes the hole from the smaller side: removing
+  /// entry 0 stores only `first` and `count`. Precondition: i < count.
   size_t RemoveLeafEntryAtInPlace(uint32_t i);
 
   /// In-place value overwrite of an existing leaf entry (the Upsert
@@ -195,6 +245,9 @@ struct Node {
   int FindChildIndex(PageId child) const;
 
   // --- restructuring -------------------------------------------------------
+  //
+  // These rewrite private images (the copy path) and leave every image
+  // they write compacted (first = 0).
 
   /// Split this (full) node: keep the first `keep` entries here, move the
   /// rest to *right (which must be a fresh node at page `right_page`).
@@ -219,9 +272,19 @@ struct Node {
 
   /// Debug rendering: "[L0 n=5 low=.. high=.. link=..]".
   std::string DebugString() const;
+
+ private:
+  // In-place helpers of the *InPlace primitives; each returns bytes stored.
+  size_t CompactInPlace();
+  size_t OpenSlotInPlace(uint32_t i, uint32_t* slot);
+  // Copy-path counterpart of OpenSlotInPlace: the slot for a new live
+  // entry i, with the entries from i on shifted up one.
+  Entry* OpenSlot(uint32_t i);
 };
 
 static_assert(sizeof(Node) <= kPageSize, "Node must fit a page");
+static_assert(offsetof(Node, slots) == Node::kHeaderSize,
+              "the node header is 32 bytes");
 static_assert(Node::kMaxEntries == 254);
 
 /// Read-only view over a node image that may be concurrently rewritten —
@@ -236,7 +299,14 @@ static_assert(Node::kMaxEntries == 254);
 /// ReadGuard::Validate() returns true.
 class NodeView {
  public:
-  explicit NodeView(const Node* node) : node_(node) {}
+  /// Construct after the read's version snapshot (OptimisticRead,
+  /// PeekLocked, or a private copy): the view reads the head offset once,
+  /// here, clamped into the slot array, and every entry index is relative
+  /// to that one value.
+  explicit NodeView(const Node* node) : node_(node) {
+    const uint32_t f = SeqLock::Load(&node_->first);
+    first_ = f < Node::kMaxEntries ? f : Node::kMaxEntries;
+  }
 
   uint16_t level() const { return SeqLock::Load(&node_->level); }
   uint16_t flags() const { return SeqLock::Load(&node_->flags); }
@@ -244,12 +314,12 @@ class NodeView {
   bool is_root() const { return flags() & kNodeFlagRoot; }
   bool is_deleted() const { return flags() & kNodeFlagDeleted; }
 
-  /// Entry count clamped to kMaxEntries (a torn count must not widen any
-  /// loop past the entry array).
+  /// Entry count clamped so that first + count <= kMaxEntries (a torn
+  /// header must not widen any loop past the slot array).
   uint32_t count() const {
     const uint32_t c = SeqLock::Load(&node_->count);
-    return c <= Node::kMaxEntries ? c
-                                  : static_cast<uint32_t>(Node::kMaxEntries);
+    const uint32_t room = Node::kMaxEntries - first_;
+    return c <= room ? c : room;
   }
 
   Key low() const { return SeqLock::Load(&node_->low); }
@@ -257,11 +327,13 @@ class NodeView {
   PageId link() const { return SeqLock::Load(&node_->link); }
   PageId merge_target() const { return SeqLock::Load(&node_->merge_target); }
 
+  /// Live entry i; requires i < count(), which keeps the slot in the
+  /// array.
   Key entry_key(uint32_t i) const {
-    return SeqLock::Load(&node_->entries[i].key);
+    return SeqLock::Load(&node_->slots[first_ + i].key);
   }
   uint64_t entry_value(uint32_t i) const {
-    return SeqLock::Load(&node_->entries[i].value);
+    return SeqLock::Load(&node_->slots[first_ + i].value);
   }
 
   /// Index of the first entry with key >= k; count() if none. Bounded on
@@ -282,13 +354,8 @@ class NodeView {
 
  private:
   const Node* node_;
+  uint32_t first_;  // the head offset as read at construction, clamped
 };
-
-/// Bytes of a page image that are meaningful for a node with `count`
-/// entries (header + entries). Used to bound copy sizes.
-inline size_t NodeBytes(uint32_t count) {
-  return Node::kHeaderSize + static_cast<size_t>(count) * sizeof(Entry);
-}
 
 }  // namespace obtree
 

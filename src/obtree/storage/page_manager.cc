@@ -226,7 +226,14 @@ PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
   }
   // If the page is evicted after this point the eviction's write bracket
   // makes Validate() fail, so the zeroed bytes can never be trusted.
-  const uint64_t version = slot->seq.ReadBegin();
+  uint64_t version = slot->seq.ReadBegin();
+  // An odd version cannot validate. In-place write brackets last well
+  // under a microsecond, so wait one out (boundedly) rather than hand the
+  // caller a guard that only burns a retry of its budget.
+  for (int spins = 0; (version & 1) && spins < kOddVersionSpins; ++spins) {
+    PaperLock::CpuRelax();
+    version = slot->seq.ReadBegin();
+  }
   stats_->Add(StatId::kGets);
   return ReadGuard(&slot->seq, &slot->page, version);
 }

@@ -163,7 +163,9 @@ class PageManager {
   /// Begin an optimistic in-place read (the fast-path alternative to Get
   /// that moves no page bytes). Counts as a node access: it pays the
   /// simulated I/O latency and the kGets counter exactly like Get, so the
-  /// paper's cost model still holds; Validate() is free.
+  /// paper's cost model still holds; Validate() is free. A read that
+  /// finds a write in flight (odd version) first waits it out for up to
+  /// kOddVersionSpins pauses; past that the guard is unstable.
   ReadGuard OptimisticRead(PageId id) const;
 
   /// Batched-I/O overlap hook for the pipelined descent engine
@@ -425,6 +427,10 @@ class PageManager {
   // Residency bits of Slot::state (consulted only when paged_).
   static constexpr uint32_t kSlotResident = 1u;
   static constexpr uint32_t kSlotDirty = 2u;
+
+  // OptimisticRead's wait for an odd version: ~256 pauses are a few
+  // microseconds, several in-place write brackets.
+  static constexpr int kOddVersionSpins = 256;
 
   struct Slot {
     SeqLock seq;           // version word: odd while a put is in flight

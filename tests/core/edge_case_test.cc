@@ -54,7 +54,7 @@ class TreeBuilder {
       const Key high = last ? kPlusInfinity : leaves[i].back();
       node->Init(0, low, high, last ? kInvalidPageId : pages[i + 1]);
       for (Key k : leaves[i]) {
-        node->entries[node->count++] = Entry{k, k * 10};
+        node->AppendEntry(Entry{k, k * 10});
       }
       total_keys += node->count;
       pager->Put(pages[i], page);
@@ -84,7 +84,7 @@ class TreeBuilder {
         node->Init(level, plow, highs[end - 1],
                    last ? kInvalidPageId : parent_pages[i + 1]);
         for (size_t c = begin; c < end; ++c) {
-          node->entries[node->count++] = Entry{highs[c], pages[c]};
+          node->AppendEntry(Entry{highs[c], pages[c]});
         }
         pager->Put(parent_pages[i], page);
         parent_highs.push_back(highs[end - 1]);
@@ -206,7 +206,7 @@ TEST(ScanCompressorEdgeTest, WaitsWhenSeparatorUnposted) {
   Node a = builder.ReadNode(a_page);
   Node b;
   b.Init(0, 10, 20, a.link);
-  b.entries[b.count++] = Entry{20, 200};
+  b.AppendEntry(Entry{20, 200});
   a.count = 1;
   a.high = 10;
   a.link = b_page;
@@ -267,7 +267,7 @@ TEST(TryCollapseRootTest, CollapsesMultiLevelSingleChildChain) {
     buf.Clear();
     Node* node = buf.As<Node>();
     node->Init(level, kMinusInfinity, kPlusInfinity, kInvalidPageId);
-    node->entries[node->count++] = Entry{kPlusInfinity, child};
+    node->AppendEntry(Entry{kPlusInfinity, child});
     pager->Put(page, buf);
     pb.leftmost[level] = page;
     child = page;
@@ -345,7 +345,7 @@ TEST(QueueCompressorEdgeTest, UnpostedSeparatorIsRequeued) {
   Node a = builder.ReadNode(a_page);
   Node b;
   b.Init(0, 10, 20, a.link);
-  b.entries[b.count++] = Entry{20, 200};
+  b.AppendEntry(Entry{20, 200});
   a.count = 1;
   a.high = 10;
   a.link = b_page;
@@ -444,7 +444,7 @@ TEST_F(CheckerNegativeTest, AcceptsHealthyTree) {
 
 TEST_F(CheckerNegativeTest, DetectsUnsortedEntries) {
   Node n = builder_.ReadNode(built_.level_pages[0][0]);
-  std::swap(n.entries[0], n.entries[1]);
+  std::swap(n.entry(0), n.entry(1));
   builder_.WriteNode(built_.level_pages[0][0], n);
   ExpectRejected("unsorted entries");
 }
@@ -458,7 +458,7 @@ TEST_F(CheckerNegativeTest, DetectsBrokenLowChain) {
 
 TEST_F(CheckerNegativeTest, DetectsEntryAboveHigh) {
   Node n = builder_.ReadNode(built_.level_pages[0][0]);
-  n.entries[n.count - 1].key = 25;  // above high (20)
+  n.entry(n.count - 1).key = 25;  // above high (20)
   builder_.WriteNode(built_.level_pages[0][0], n);
   ExpectRejected("entry above high");
 }
@@ -479,7 +479,7 @@ TEST_F(CheckerNegativeTest, DetectsReachableDeletedNode) {
 
 TEST_F(CheckerNegativeTest, DetectsReplayMismatch) {
   Node n = builder_.ReadNode(built_.level_pages[1][0]);
-  n.entries[0].key = 21;  // separator no longer equals child high
+  n.entry(0).key = 21;  // separator no longer equals child high
   builder_.WriteNode(built_.level_pages[1][0], n);
   ExpectRejected("replay mismatch");
 }

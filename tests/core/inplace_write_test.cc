@@ -20,6 +20,8 @@
 #include "obtree/core/compression_queue.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/core/tree_checker.h"
+#include "obtree/node/node.h"
+#include "obtree/storage/page_manager.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -173,6 +175,145 @@ TEST(InplaceWriteTest, ConcurrentReadersNeverSeeTornInplaceWrites) {
     ASSERT_EQ(*v, k + 1);
   }
   EXPECT_GT(map.Stats().Get(StatId::kInplaceWrites), 0u);
+}
+
+// Head removals move a leaf's head offset under optimistic readers. The
+// writer slides a window of consecutive keys along one live leaf: remove
+// the smallest key, append the next largest, and now and then remove the
+// head and put it back in a second bracket (a head-side insert). The
+// range crosses the end of the slot array and compacts every ~150 steps.
+// A reader that validates must see one window: consecutive keys, each
+// value key + 1, and a count the writer published.
+TEST(InplaceWriteTest, HeadRemoverNeverShowsReadersATornWindow) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats);
+  const PageId id = *pm.Allocate();
+  constexpr uint32_t kWindow = 100;
+  {
+    Page w{};
+    Node* n = w.As<Node>();
+    n->Init(0, 0, kPlusInfinity, kInvalidPageId);
+    for (Key k = 1; k <= kWindow; ++k) n->AppendEntry(Entry{k, k + 1});
+    pm.Put(id, w);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> bad{false};
+  std::atomic<uint64_t> validated{0};
+  std::thread writer([&] {
+    auto bracket = [&](auto edit) {
+      pm.Lock(id);
+      PageManager::WriteGuard wg = pm.BeginWrite(id);
+      edit(wg.page()->As<Node>());
+      wg.Release();
+      pm.Unlock(id);
+    };
+    for (int step = 0; step < 20'000; ++step) {
+      bracket([](Node* n) {
+        const Key next = n->entry(n->count - 1u).key + 1;
+        n->RemoveLeafEntryAtInPlace(0);
+        n->AppendLeafEntryInPlace(next, next + 1);
+      });
+      if (step % 7 == 0) {
+        Key head = 0;
+        bracket([&head](Node* n) {
+          head = n->entry(0).key;
+          n->RemoveLeafEntryAtInPlace(0);
+        });
+        bracket([head](Node* n) { n->InsertLeafEntryInPlace(head, head + 1); });
+      }
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const PageManager::ReadGuard g = pm.OptimisticRead(id);
+        if (!g.stable()) continue;
+        const NodeView view(g.page()->As<Node>());
+        const uint32_t n = view.count();
+        const Key k0 = n > 0 ? view.entry_key(0) : 0;
+        bool window = n == kWindow || n == kWindow - 1;
+        for (uint32_t i = 0; i < n; ++i) {
+          window = window && view.entry_key(i) == k0 + i &&
+                   view.entry_value(i) == k0 + i + 1;
+        }
+        const std::optional<Value> mid = view.FindLeafValue(k0 + n / 2);
+        if (!g.Validate()) continue;
+        validated.fetch_add(1, std::memory_order_relaxed);
+        if (!window || mid != k0 + n / 2 + 1) bad.store(true);
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_FALSE(bad.load());
+  EXPECT_GT(validated.load(), 0u);
+}
+
+// The same at tree level: the oldest-key erases of a time-ordered window
+// (head removals on the leftmost leaf) race appends at the right end,
+// optimistic point reads and scans, and queue compression of the leaves
+// the erases empty.
+TEST(InplaceWriteTest, OldestKeyErasesRaceOptimisticReaders) {
+  MapOptions options;
+  options.tree = SmallNodes(true);
+  options.tree.min_entries = 16;
+  options.compression = CompressionMode::kQueueWorkers;
+  options.compression_threads = 1;
+  ConcurrentMap map(options);
+  constexpr Key kPreload = 4'000;
+  for (Key k = 1; k <= kPreload; ++k) ASSERT_TRUE(map.Insert(k, k + 1).ok());
+  std::atomic<Key> oldest{1};
+  std::atomic<Key> next{kPreload + 1};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> bad{false};
+  std::thread appender([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Key k = next.load();
+      if (!map.Insert(k, k + 1).ok()) bad.store(true);
+      next.store(k + 1);
+    }
+  });
+  std::thread eraser([&] {
+    for (int i = 0; i < 30'000; ++i) {
+      const Key k = oldest.load();
+      if (k + 100 >= next.load()) continue;  // keep the window non-empty
+      if (!map.Erase(k).ok()) bad.store(true);
+      oldest.store(k + 1);
+    }
+    stop.store(true);
+  });
+  std::thread reader([&] {
+    Random rng(17);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Key lo = oldest.load();
+      const Key hi = next.load();
+      const Key k = lo + rng.Uniform(hi - lo);
+      const Result<Value> v = map.Get(k);
+      if (v.ok() ? *v != k + 1 : !v.status().IsNotFound()) bad.store(true);
+      Key last = 0;
+      map.Scan(lo, lo + 200, [&](Key key, Value value) {
+        if (key <= last || value != key + 1) bad.store(true);
+        last = key;
+        return true;
+      });
+    }
+  });
+  appender.join();
+  eraser.join();
+  reader.join();
+  EXPECT_FALSE(bad.load());
+  // Exactly the window survives.
+  const Key lo = oldest.load();
+  const Key hi = next.load();
+  EXPECT_EQ(map.Size(), hi - lo);
+  for (Key k = lo; k < hi; ++k) {
+    const Result<Value> v = map.Get(k);
+    ASSERT_TRUE(v.ok()) << k;
+    ASSERT_EQ(*v, k + 1);
+  }
 }
 
 // Writer-vs-writer: concurrent Inserts/Deletes on overlapping ranges with

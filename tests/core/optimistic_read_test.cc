@@ -8,6 +8,7 @@
 // value = key + 1, so any torn or misrouted read is detectable.
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "obtree/core/compression_queue.h"
 #include "obtree/core/queue_compressor.h"
 #include "obtree/core/sagiv_tree.h"
+#include "obtree/storage/page_manager.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -294,6 +296,68 @@ TEST(OptimisticReadTest, FallbackPathServesCorrectResults) {
   stop.store(true);
   mutator.join();
   EXPECT_TRUE(ok);
+}
+
+// A reader that reaches a leaf while an in-place write bracket is open
+// waits the bracket out instead of burning its retry budget on an odd
+// version: once the writer releases, it gets a stable guard that
+// validates, and a search completes with no retry and no copy fallback.
+//
+// The wait is bounded (a few hundred pauses), so an attempt says
+// something only when the bracket closed soon after the reader started:
+// attempts where a thread was descheduled in between are not counted.
+TEST(OptimisticReadTest, ReaderWaitsOutAShortWriteBracket) {
+  SagivTree tree(SmallNodes(true));
+  for (Key k = 1; k <= 200; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  constexpr Key kKey = 100;
+  const Result<PageId> leaf = tree.internal_FindNodeAtLevel(kKey, 0, nullptr);
+  ASSERT_TRUE(leaf.ok());
+  PageManager* pager = tree.internal_pager();
+  using Clock = std::chrono::steady_clock;
+
+  int conclusive = 0;
+  for (int attempt = 0; attempt < 200 && conclusive < 20; ++attempt) {
+    const bool through_tree = attempt % 2 == 1;
+    const uint64_t retries = tree.stats()->Get(StatId::kOptimisticRetries);
+    const uint64_t fallbacks =
+        tree.stats()->Get(StatId::kOptimisticFallbacks);
+    std::atomic<bool> reading{false};
+    Clock::time_point started;
+    bool stable = false;
+    Result<Value> value = Status::Internal("reader did not run");
+    pager->Lock(*leaf);
+    PageManager::WriteGuard wg = pager->BeginWrite(*leaf);  // version odd
+    std::thread reader([&] {
+      started = Clock::now();
+      reading.store(true);
+      if (through_tree) {
+        value = tree.Search(kKey);
+      } else {
+        const PageManager::ReadGuard g = pager->OptimisticRead(*leaf);
+        stable = g.stable() && g.Validate();
+      }
+    });
+    while (!reading.load()) PaperLock::CpuRelax();
+    for (int i = 0; i < 4; ++i) PaperLock::CpuRelax();  // let it arrive
+    wg.Release();
+    const Clock::duration held = Clock::now() - started;
+    pager->Unlock(*leaf);
+    reader.join();
+    if (held > std::chrono::microseconds(1)) continue;
+    ++conclusive;
+    SCOPED_TRACE(through_tree ? "Search" : "OptimisticRead");
+    if (through_tree) {
+      ASSERT_TRUE(value.ok()) << value.status().ToString();
+      EXPECT_EQ(*value, kKey + 1);
+      EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticRetries), retries);
+      EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticFallbacks), fallbacks);
+    } else {
+      EXPECT_TRUE(stable);
+    }
+  }
+  if (conclusive == 0) {
+    GTEST_SKIP() << "no write bracket closed within 1 us of a reader's start";
+  }
 }
 
 // Reentrancy: a visitor that scans the same tree from inside a scan (the

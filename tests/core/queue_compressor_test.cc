@@ -7,6 +7,7 @@
 #include "obtree/core/queue_compressor.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,38 @@ TEST(CompressionQueueTest, RemoveDropsEntry) {
   EXPECT_TRUE(q.Remove(7));
   EXPECT_FALSE(q.Remove(7));
   EXPECT_TRUE(q.Empty());
+}
+
+// The deleting lock holder's push: a leaf already queued with the same
+// high keeps its record (stack and stamp untouched); a changed high
+// replaces the record, as §5.4 requires of the holder.
+TEST(CompressionQueueTest, PushFromHolderRewritesOnlyAChangedHigh) {
+  CompressionQueue q;
+  q.PushFromHolder(/*node=*/3, /*level=*/0, /*high=*/50, /*stamp=*/10, {1, 2});
+  EXPECT_EQ(q.Size(), 1u);
+  // Same high: the queued record stays as it is.
+  q.PushFromHolder(3, 0, 50, 20, {9});
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.MinStamp(), 10u);
+  CompressionTask t;
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.high, 50u);
+  EXPECT_EQ(t.stamp, 10u);
+  EXPECT_EQ(t.stack, (std::vector<PageId>{1, 2}));
+  q.FinishTask(t.stamp);
+
+  // A changed high: the holder's fresher information replaces the record.
+  q.PushFromHolder(3, 0, 50, 30, {1, 2});
+  q.PushFromHolder(3, 0, 40, 40, {7, 8});
+  EXPECT_EQ(q.Size(), 1u);
+  ASSERT_TRUE(q.Pop(&t));
+  EXPECT_EQ(t.node, 3u);
+  EXPECT_EQ(t.high, 40u);
+  EXPECT_EQ(t.stamp, 40u);
+  EXPECT_EQ(t.stack, (std::vector<PageId>{7, 8}));
+  q.FinishTask(t.stamp);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.MinStamp(), kMaxTimestamp);
 }
 
 TEST(CompressionQueueTest, MinStampTracksQueuedAndInFlight) {

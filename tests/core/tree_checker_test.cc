@@ -87,11 +87,28 @@ TEST(TreeCheckerTest, HighKeyViolationFailsAudit) {
   // An entry above the node's high value escapes its key range.
   CorruptPage(tree.internal_pager(), leaf, [](Node* node) {
     ASSERT_GT(node->count, 0u);
-    node->high = node->entries[node->count - 1].key - 1;
+    node->high = node->entry(node->count - 1).key - 1;
   });
   const Status audit = TreeChecker(&tree).CheckStructure();
   ASSERT_FALSE(audit.ok());
   EXPECT_NE(audit.message().find("entry above high"), std::string::npos)
+      << audit.ToString();
+}
+
+TEST(TreeCheckerTest, LiveRangePastTheSlotArrayFailsAudit) {
+  SagivTree tree(SmallNodeOptions());
+  FillTree(&tree);
+  const PageId leaf = tree.internal_prime()->Read().leftmost[0];
+  // A head offset that runs the live range off the page: the audit must
+  // report it before reading any entry.
+  CorruptPage(tree.internal_pager(), leaf, [](Node* node) {
+    ASSERT_GT(node->count, 0u);
+    node->first = static_cast<uint16_t>(Node::kMaxEntries - node->count + 1);
+  });
+  const Status audit = TreeChecker(&tree).CheckStructure();
+  ASSERT_FALSE(audit.ok());
+  EXPECT_NE(audit.message().find("live range past the slot array"),
+            std::string::npos)
       << audit.ToString();
 }
 

@@ -2,9 +2,13 @@
 //
 // Unit tests of the on-page node layout and the restructuring primitives:
 // leaf insert/remove, child-split posting (including the overtaking case),
-// splits, merges, and redistributions.
+// splits, merges, and redistributions, and the head-offset live range
+// (slots[first, first + count)) that the in-place primitives maintain.
 
 #include "obtree/node/node.h"
+
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,16 +26,16 @@ Node MakeInternal(Key low, std::initializer_list<Entry> entries,
   Node n;
   n.Init(1, low, 0, link);
   for (const Entry& e : entries) {
-    n.entries[n.count++] = e;
+    n.AppendEntry(e);
   }
-  n.high = n.entries[n.count - 1].key;  // internal invariant
+  n.high = n.entry(n.count - 1).key;  // internal invariant
   return n;
 }
 
 TEST(NodeLayoutTest, SizesAndCapacity) {
   EXPECT_LE(sizeof(Node), kPageSize);
   EXPECT_EQ(Node::kMaxEntries, 254u);
-  EXPECT_EQ(offsetof(Node, entries), Node::kHeaderSize);
+  EXPECT_EQ(offsetof(Node, slots), Node::kHeaderSize);
 }
 
 TEST(NodeLayoutTest, FlagsRoundTrip) {
@@ -95,9 +99,9 @@ TEST(NodeLeafTest, InsertKeepsOrder) {
   ASSERT_EQ(n.count, 5u);
   Key prev = 0;
   for (uint32_t i = 0; i < n.count; ++i) {
-    EXPECT_GT(n.entries[i].key, prev);
-    EXPECT_EQ(n.entries[i].value, n.entries[i].key * 2);
-    prev = n.entries[i].key;
+    EXPECT_GT(n.entry(i).key, prev);
+    EXPECT_EQ(n.entry(i).value, n.entry(i).key * 2);
+    prev = n.entry(i).key;
   }
 }
 
@@ -108,8 +112,8 @@ TEST(NodeLeafTest, RemovePresentAndAbsent) {
   EXPECT_EQ(n.count, 2u);
   EXPECT_FALSE(n.RemoveLeafEntry(20));
   EXPECT_FALSE(n.RemoveLeafEntry(99));
-  EXPECT_EQ(n.entries[0].key, 10u);
-  EXPECT_EQ(n.entries[1].key, 30u);
+  EXPECT_EQ(n.entry(0).key, 10u);
+  EXPECT_EQ(n.entry(1).key, 30u);
 }
 
 TEST(NodeInternalTest, InsertChildSplitNormalCase) {
@@ -117,11 +121,11 @@ TEST(NodeInternalTest, InsertChildSplitNormalCase) {
   Node n = MakeInternal(0, {{10, 1}, {20, 2}});
   ASSERT_TRUE(n.InsertChildSplit(5, 7));
   ASSERT_EQ(n.count, 3u);
-  EXPECT_EQ(n.entries[0].key, 5u);
-  EXPECT_EQ(n.entries[0].value, 1u);  // left part keeps the old child
-  EXPECT_EQ(n.entries[1].key, 10u);
-  EXPECT_EQ(n.entries[1].value, 7u);  // right part is the new node
-  EXPECT_EQ(n.entries[2].key, 20u);
+  EXPECT_EQ(n.entry(0).key, 5u);
+  EXPECT_EQ(n.entry(0).value, 1u);  // left part keeps the old child
+  EXPECT_EQ(n.entry(1).key, 10u);
+  EXPECT_EQ(n.entry(1).value, 7u);  // right part is the new node
+  EXPECT_EQ(n.entry(2).key, 20u);
 }
 
 TEST(NodeInternalTest, InsertChildSplitWithOvertaking) {
@@ -132,20 +136,20 @@ TEST(NodeInternalTest, InsertChildSplitWithOvertaking) {
   ASSERT_TRUE(n.InsertChildSplit(15, 8));  // B's split, overtaking
   // Now (15 -> 1), (20 -> 8): the 15-entry temporarily points left of the
   // true owner; links recover searches (Theorem 1's validity assertion).
-  EXPECT_EQ(n.entries[0].key, 15u);
-  EXPECT_EQ(n.entries[0].value, 1u);
-  EXPECT_EQ(n.entries[1].value, 8u);
+  EXPECT_EQ(n.entry(0).key, 15u);
+  EXPECT_EQ(n.entry(0).value, 1u);
+  EXPECT_EQ(n.entry(1).value, 8u);
   ASSERT_TRUE(n.InsertChildSplit(10, 7));  // A's split arrives second
   ASSERT_EQ(n.count, 4u);
   // Final layout is exactly right: (10->1),(15->7),(20->8),(30->2).
-  EXPECT_EQ(n.entries[0].key, 10u);
-  EXPECT_EQ(n.entries[0].value, 1u);
-  EXPECT_EQ(n.entries[1].key, 15u);
-  EXPECT_EQ(n.entries[1].value, 7u);
-  EXPECT_EQ(n.entries[2].key, 20u);
-  EXPECT_EQ(n.entries[2].value, 8u);
-  EXPECT_EQ(n.entries[3].key, 30u);
-  EXPECT_EQ(n.entries[3].value, 2u);
+  EXPECT_EQ(n.entry(0).key, 10u);
+  EXPECT_EQ(n.entry(0).value, 1u);
+  EXPECT_EQ(n.entry(1).key, 15u);
+  EXPECT_EQ(n.entry(1).value, 7u);
+  EXPECT_EQ(n.entry(2).key, 20u);
+  EXPECT_EQ(n.entry(2).value, 8u);
+  EXPECT_EQ(n.entry(3).key, 30u);
+  EXPECT_EQ(n.entry(3).value, 2u);
 }
 
 TEST(NodeInternalTest, InsertChildSplitRejectsDuplicateSeparator) {
@@ -167,10 +171,10 @@ TEST(NodeInternalTest, ApplyChildMerge) {
   // becomes (20 -> 1).
   ASSERT_TRUE(n.ApplyChildMerge(10, 1, 2));
   ASSERT_EQ(n.count, 2u);
-  EXPECT_EQ(n.entries[0].key, 20u);
-  EXPECT_EQ(n.entries[0].value, 1u);
-  EXPECT_EQ(n.entries[1].key, 30u);
-  EXPECT_EQ(n.entries[1].value, 3u);
+  EXPECT_EQ(n.entry(0).key, 20u);
+  EXPECT_EQ(n.entry(0).value, 1u);
+  EXPECT_EQ(n.entry(1).key, 30u);
+  EXPECT_EQ(n.entry(1).value, 3u);
 }
 
 TEST(NodeInternalTest, ApplyChildMergeValidatesLayout) {
@@ -185,7 +189,7 @@ TEST(NodeInternalTest, ApplyChildMergeValidatesLayout) {
 TEST(NodeInternalTest, ApplyChildSeparatorChange) {
   Node n = MakeInternal(0, {{10, 1}, {20, 2}});
   ASSERT_TRUE(n.ApplyChildSeparatorChange(10, 14, 1));
-  EXPECT_EQ(n.entries[0].key, 14u);
+  EXPECT_EQ(n.entry(0).key, 14u);
   EXPECT_FALSE(n.ApplyChildSeparatorChange(14, 25, 1));  // would reorder
   EXPECT_FALSE(n.ApplyChildSeparatorChange(99, 5, 1));   // absent
   EXPECT_FALSE(n.ApplyChildSeparatorChange(20, 15, 9));  // wrong child
@@ -203,7 +207,7 @@ TEST(NodeSplitTest, LeafSplitBalancesAndChains) {
   EXPECT_EQ(b.low, 50u);              // B.low == A.high
   EXPECT_EQ(b.high, kPlusInfinity);   // B inherits A's old high
   EXPECT_EQ(b.link, kInvalidPageId);  // and A's old link
-  EXPECT_EQ(b.entries[0].key, 60u);
+  EXPECT_EQ(b.entry(0).key, 60u);
   EXPECT_EQ(b.level, a.level);
 }
 
@@ -211,8 +215,8 @@ TEST(NodeSplitTest, InternalSplitKeepsHighInvariant) {
   Node a = MakeInternal(0, {{10, 1}, {20, 2}, {30, 3}, {kPlusInfinity, 4}});
   Node b;
   a.SplitInto(&b, 77);
-  EXPECT_EQ(a.high, a.entries[a.count - 1].key);
-  EXPECT_EQ(b.high, b.entries[b.count - 1].key);
+  EXPECT_EQ(a.high, a.entry(a.count - 1).key);
+  EXPECT_EQ(b.high, b.entry(b.count - 1).key);
   EXPECT_EQ(b.high, kPlusInfinity);
   EXPECT_EQ(a.count + b.count, 4u);
 }
@@ -228,7 +232,7 @@ TEST(NodeMergeTest, MergeFromRightAppends) {
   EXPECT_EQ(a.high, kPlusInfinity);
   EXPECT_EQ(a.link, kInvalidPageId);
   EXPECT_EQ(a.low, 0u);  // unchanged
-  EXPECT_EQ(a.entries[2].key, 50u);
+  EXPECT_EQ(a.entry(2).key, 50u);
 }
 
 TEST(NodeRedistributeTest, RightToLeft) {
@@ -240,10 +244,10 @@ TEST(NodeRedistributeTest, RightToLeft) {
   EXPECT_GE(a.count, 3u);
   EXPECT_GE(b.count, 3u);
   EXPECT_EQ(a.count + b.count, 6u);
-  EXPECT_EQ(sep, a.entries[a.count - 1].key);
+  EXPECT_EQ(sep, a.entry(a.count - 1).key);
   EXPECT_EQ(a.high, sep);
   EXPECT_EQ(b.low, sep);
-  EXPECT_LT(a.entries[a.count - 1].key, b.entries[0].key);
+  EXPECT_LT(a.entry(a.count - 1).key, b.entry(0).key);
 }
 
 TEST(NodeRedistributeTest, LeftToRight) {
@@ -257,11 +261,11 @@ TEST(NodeRedistributeTest, LeftToRight) {
   EXPECT_EQ(sep, a.high);
   EXPECT_EQ(b.low, sep);
   // b's old entries stay at the tail, in order.
-  EXPECT_EQ(b.entries[b.count - 1].key, 70u);
+  EXPECT_EQ(b.entry(b.count - 1).key, 70u);
   Key prev = 0;
   for (uint32_t i = 0; i < b.count; ++i) {
-    EXPECT_GT(b.entries[i].key, prev);
-    prev = b.entries[i].key;
+    EXPECT_GT(b.entry(i).key, prev);
+    prev = b.entry(i).key;
   }
 }
 
@@ -272,18 +276,224 @@ TEST(NodeRedistributeTest, InternalEntriesCarryChildren) {
   EXPECT_GE(a.count, 2u);
   EXPECT_GE(b.count, 2u);
   EXPECT_EQ(a.high, sep);
-  EXPECT_EQ(a.entries[a.count - 1].key, sep);
+  EXPECT_EQ(a.entry(a.count - 1).key, sep);
   // Every (key, child) pair survived intact somewhere.
   std::map<Key, uint64_t> all;
   for (uint32_t i = 0; i < a.count; ++i) {
-    all[a.entries[i].key] = a.entries[i].value;
+    all[a.entry(i).key] = a.entry(i).value;
   }
   for (uint32_t i = 0; i < b.count; ++i) {
-    all[b.entries[i].key] = b.entries[i].value;
+    all[b.entry(i).key] = b.entry(i).value;
   }
   EXPECT_EQ(all.size(), 5u);
   EXPECT_EQ(all[10], 1u);
   EXPECT_EQ(all[50], 5u);
+}
+
+// A leaf holding keys 10, 20, ..., n*10 (value = key + 1), written with
+// the in-place primitives a live page sees.
+Node MakeInPlaceLeaf(uint32_t n) {
+  Node node = MakeLeaf(0, kPlusInfinity, kInvalidPageId);
+  for (uint32_t i = 1; i <= n; ++i) {
+    node.AppendLeafEntryInPlace(i * 10, i * 10 + 1);
+  }
+  return node;
+}
+
+std::vector<Key> Keys(const Node& n) {
+  std::vector<Key> keys;
+  for (uint32_t i = 0; i < n.count; ++i) keys.push_back(n.entry(i).key);
+  return keys;
+}
+
+std::vector<Key> Range(Key from, Key to, Key step = 10) {
+  std::vector<Key> keys;
+  for (Key k = from; k <= to; k += step) keys.push_back(k);
+  return keys;
+}
+
+TEST(NodeHeadOffsetTest, HeadRemovalsStoreOnlyTheHeaderDownToEmpty) {
+  Node n = MakeInPlaceLeaf(8);
+  for (uint32_t removed = 1; removed <= 8; ++removed) {
+    const size_t bytes = n.RemoveLeafEntryAtInPlace(0);
+    EXPECT_EQ(n.count, 8u - removed);
+    if (n.count > 0) {
+      // O(1): the head offset and the count, no entry moved.
+      EXPECT_EQ(bytes, sizeof(n.first) + sizeof(n.count));
+      EXPECT_EQ(n.first, removed);
+      EXPECT_EQ(Keys(n), Range(10 * (removed + 1), 80));
+    }
+    EXPECT_TRUE(n.live_range_ok());
+  }
+  EXPECT_EQ(n.LowerBound(5), 0u);
+  EXPECT_FALSE(n.FindLeafValue(80).has_value());
+}
+
+TEST(NodeHeadOffsetTest, RemovalShiftsTheSmallerSide) {
+  Node n = MakeInPlaceLeaf(10);
+  // Index 1 of 10: one entry before it, eight after: the head side moves.
+  EXPECT_EQ(n.RemoveLeafEntryAtInPlace(1), sizeof(Entry) + 4u);
+  EXPECT_EQ(n.first, 1u);
+  // Index 7 of 9: one entry after it: the tail side moves, first stays.
+  EXPECT_EQ(n.RemoveLeafEntryAtInPlace(7), sizeof(Entry) + sizeof(n.count));
+  EXPECT_EQ(n.first, 1u);
+  EXPECT_EQ(Keys(n), (std::vector<Key>{10, 30, 40, 50, 60, 70, 80, 100}));
+  EXPECT_EQ(n.FindLeafValue(100), 101u);
+}
+
+TEST(NodeHeadOffsetTest, InsertAndAppendAfterHeadRemovals) {
+  Node n = MakeInPlaceLeaf(10);
+  for (int i = 0; i < 4; ++i) n.RemoveLeafEntryAtInPlace(0);  // 50..100
+  ASSERT_EQ(n.first, 4u);
+  // Near the head, with free slots below it: the head side moves down.
+  n.InsertLeafEntryInPlace(55, 56);
+  EXPECT_EQ(n.first, 3u);
+  // Near the tail: the tail side moves up.
+  n.InsertLeafEntryInPlace(95, 96);
+  EXPECT_EQ(n.first, 3u);
+  n.AppendLeafEntryInPlace(110, 111);
+  EXPECT_EQ(Keys(n),
+            (std::vector<Key>{50, 55, 60, 70, 80, 90, 95, 100, 110}));
+  EXPECT_EQ(n.FindLeafValue(55), 56u);
+  EXPECT_EQ(n.FindLeafValue(95), 96u);
+  EXPECT_EQ(n.FindLeafValue(110), 111u);
+}
+
+TEST(NodeHeadOffsetTest, AppendCompactsAtTheArrayEnd) {
+  // A sliding window: remove the head, append past the tail. The range
+  // walks to the end of the slot array, then one append compacts it.
+  Node n = MakeInPlaceLeaf(100);
+  Key next = 1010;
+  bool compacted = false;
+  for (int step = 0; step < 300; ++step) {
+    n.RemoveLeafEntryAtInPlace(0);
+    const uint32_t before = n.first;
+    n.AppendLeafEntryInPlace(next, next + 1);
+    next += 10;
+    if (n.first < before) {
+      compacted = true;
+      EXPECT_EQ(before + n.count - 1, Node::kMaxEntries);
+      EXPECT_EQ(n.first, 0u);
+    }
+    ASSERT_TRUE(n.live_range_ok());
+    ASSERT_EQ(n.count, 100u);
+    ASSERT_EQ(n.entry(99).key, next - 10);
+  }
+  EXPECT_TRUE(compacted);
+  EXPECT_EQ(Keys(n), Range(next - 1000, next - 10));
+}
+
+TEST(NodeHeadOffsetTest, InsertCompactsAtTheArrayEnd) {
+  // Keys 10..2000: the live range reaches the last slot with first > 0.
+  Node n = MakeInPlaceLeaf(200);
+  for (int i = 0; i < 54; ++i) n.RemoveLeafEntryAtInPlace(0);
+  for (Key k = 2010; k <= 2540; k += 10) n.AppendLeafEntryInPlace(k, k + 1);
+  ASSERT_EQ(n.first + n.count, Node::kMaxEntries);
+  ASSERT_EQ(n.first, 54u);
+  n.InsertLeafEntryInPlace(1505, 1506);  // in the upper half
+  EXPECT_EQ(n.first, 0u);
+  EXPECT_EQ(n.count, 201u);
+  std::vector<Key> want = Range(550, 1500);
+  want.push_back(1505);
+  for (Key k : Range(1510, 2540)) want.push_back(k);
+  EXPECT_EQ(Keys(n), want);
+  // Internal nodes share the same slot opening.
+  Node p = MakeInternal(0, {{10, 1}, {20, 2}, {30, 3}, {40, 4}});
+  p.first = static_cast<uint16_t>(Node::kMaxEntries - 4);
+  for (uint32_t i = 0; i < 4; ++i) {
+    p.slots[p.first + i] = Entry{(i + 1) * 10u, i + 1};
+  }
+  ASSERT_GT(p.InsertChildSplitInPlace(35, 9), 0u);
+  EXPECT_EQ(p.first, 0u);
+  EXPECT_EQ(Keys(p), (std::vector<Key>{10, 20, 30, 35, 40}));
+  EXPECT_EQ(p.entry(3).value, 4u);  // left part keeps the old child
+  EXPECT_EQ(p.entry(4).value, 9u);  // right part is the new node
+}
+
+TEST(NodeHeadOffsetTest, CopyPathRestructuresWriteCompactImages) {
+  // Split: the left half comes out compacted too.
+  Node a = MakeInPlaceLeaf(12);
+  for (int i = 0; i < 3; ++i) a.RemoveLeafEntryAtInPlace(0);  // 40..120
+  Node b;
+  a.SplitInto(&b, 55);
+  EXPECT_EQ(a.first, 0u);
+  EXPECT_EQ(b.first, 0u);
+  EXPECT_EQ(Keys(a), Range(40, 80));
+  EXPECT_EQ(Keys(b), Range(90, 120));
+  EXPECT_EQ(a.high, 80u);
+  EXPECT_EQ(b.low, 80u);
+
+  // Merge: both sides offset.
+  Node l = MakeLeaf(0, 50, 2);
+  for (Key k : {10, 20, 30, 40, 50}) l.AppendLeafEntryInPlace(k, k + 1);
+  l.RemoveLeafEntryAtInPlace(0);
+  Node r = MakeLeaf(50, kPlusInfinity, kInvalidPageId);
+  for (Key k : {60, 70, 80, 90}) r.AppendLeafEntryInPlace(k, k + 1);
+  r.RemoveLeafEntryAtInPlace(0);
+  ASSERT_GT(l.first, 0u);
+  ASSERT_GT(r.first, 0u);
+  l.MergeFromRight(r);
+  EXPECT_EQ(l.first, 0u);
+  EXPECT_EQ(Keys(l), (std::vector<Key>{20, 30, 40, 50, 70, 80, 90}));
+  EXPECT_EQ(l.high, kPlusInfinity);
+
+  // Redistribute in both directions.
+  for (bool right_to_left : {true, false}) {
+    Node x = MakeLeaf(0, 0, 2);
+    Node y = MakeLeaf(0, kPlusInfinity, kInvalidPageId);
+    const int nx = right_to_left ? 3 : 9;
+    for (int i = 1; i <= nx + 1; ++i) x.AppendLeafEntryInPlace(i * 10, i);
+    x.RemoveLeafEntryAtInPlace(0);  // x: 20 .. (nx+1)*10
+    x.high = x.entry(x.count - 1).key;
+    y.low = x.high;
+    const int ny = right_to_left ? 9 : 3;
+    for (int i = 1; i <= ny + 1; ++i) y.AppendLeafEntryInPlace(1000 + i, i);
+    y.RemoveLeafEntryAtInPlace(0);
+    ASSERT_GT(x.first, 0u);
+    ASSERT_GT(y.first, 0u);
+    const Key sep = x.RedistributeWithRight(&y, 3);
+    EXPECT_EQ(x.first, 0u);
+    EXPECT_EQ(y.first, 0u);
+    EXPECT_EQ(x.count + y.count, 12u);
+    EXPECT_EQ(x.count, 6u);
+    EXPECT_EQ(sep, x.entry(x.count - 1).key);
+    std::vector<Key> all = Keys(x);
+    for (Key k : Keys(y)) all.push_back(k);
+    std::vector<Key> want = Range(20, (nx + 1) * 10);
+    for (Key k = 1002; k <= static_cast<Key>(1001 + ny); ++k) want.push_back(k);
+    EXPECT_EQ(all, want);
+  }
+}
+
+TEST(NodeHeadOffsetTest, TornViewStaysInsideTheSlotArray) {
+  Node n = MakeInPlaceLeaf(Node::kMaxEntries);  // every slot written
+  // A torn header: the live range claims slots past the array.
+  n.first = 250;
+  n.count = 100;
+  EXPECT_FALSE(n.live_range_ok());
+  {
+    const NodeView view(&n);
+    EXPECT_EQ(view.count(), Node::kMaxEntries - 250u);
+    for (uint32_t i = 0; i < view.count(); ++i) (void)view.entry_value(i);
+    EXPECT_LE(view.LowerBound(kMaxUserKey), view.count());
+    (void)view.FindLeafValue(5);
+  }
+  // A head offset past the array leaves nothing live.
+  n.first = 60000;
+  {
+    const NodeView view(&n);
+    EXPECT_EQ(view.count(), 0u);
+    EXPECT_EQ(view.LowerBound(5), 0u);
+    EXPECT_FALSE(view.FindLeafValue(10).has_value());
+  }
+  // The view keeps the head offset it read: a later torn count is still
+  // clamped against it.
+  n.first = 200;
+  n.count = 10;
+  const NodeView view(&n);
+  n.count = 200;
+  EXPECT_EQ(view.count(), Node::kMaxEntries - 200u);
+  EXPECT_EQ(view.LowerBound(kMaxUserKey), view.count());
 }
 
 TEST(NodeDebugTest, DebugStringMentionsState) {

@@ -38,6 +38,10 @@
 #include <gtest/gtest.h>
 
 #include "obtree/api/concurrent_map.h"
+#include "obtree/core/sagiv_tree.h"
+#include "obtree/node/node.h"
+#include "obtree/storage/page_manager.h"
+#include "obtree/storage/prime_block.h"
 #include "obtree/util/fault_injector.h"
 
 namespace obtree {
@@ -324,6 +328,82 @@ TEST_F(CrashRecoveryTest, OrdinalPastLastHitCompletesAndRecoversFully) {
           base_ + "/store-fsync-" + std::to_string(1u << 20)));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->checkpoint_epoch(), kTotalEpochs);
+}
+
+// The leaf images of a map, left to right (quiesced map).
+std::vector<Page> LeafImages(ConcurrentMap* map) {
+  SagivTree* tree = map->tree();
+  std::vector<Page> leaves;
+  for (PageId id = tree->internal_prime()->Read().leftmost[0];
+       id != kInvalidPageId; id = leaves.back().As<Node>()->link) {
+    leaves.emplace_back();
+    tree->internal_pager()->Get(id, &leaves.back());
+  }
+  return leaves;
+}
+
+size_t LeavesWithHeadOffset(ConcurrentMap* map) {
+  size_t n = 0;
+  for (const Page& page : LeafImages(map)) n += page.As<Node>()->first > 0;
+  return n;
+}
+
+// Erasing a leaf's smallest keys in place moves its head offset, so the
+// page image a checkpoint writes has first > 0. Recovery must bring such
+// images back as written, to the same tree, and in-place writes must go
+// on working on them.
+TEST_F(CrashRecoveryTest, HeadOffsetLeavesRecover) {
+  const std::string dir = base_ + "/head-offset";
+  std::map<Key, Value> model;
+  auto erase_leaf_heads = [&model](ConcurrentMap* map) {
+    std::vector<Key> heads;
+    for (const Page& page : LeafImages(map)) {
+      const Node* leaf = page.As<Node>();
+      if (leaf->count >= 4) {
+        heads.push_back(leaf->entry(0).key);
+        heads.push_back(leaf->entry(1).key);
+      }
+    }
+    for (Key k : heads) {
+      ASSERT_TRUE(map->Erase(k).ok()) << k;
+      model.erase(k);
+    }
+  };
+  auto expect_model = [&model](ConcurrentMap* map) {
+    Status check = map->ValidateStructure();
+    ASSERT_TRUE(check.ok()) << check.ToString();
+    std::map<Key, Value> got;
+    map->Scan(1, kMaxUserKey, [&got](Key k, Value v) {
+      got[k] = v;
+      return true;
+    });
+    EXPECT_EQ(got, model);
+  };
+  {
+    ConcurrentMap map(PersistentOptions(dir));
+    ASSERT_TRUE(map.init_status().ok());
+    for (Key k = 1; k <= 400; ++k) {
+      ASSERT_TRUE(map.Insert(k, k * 3).ok());
+      model[k] = k * 3;
+    }
+    erase_leaf_heads(&map);
+    ASSERT_GT(LeavesWithHeadOffset(&map), 1u);
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  Result<std::unique_ptr<ConcurrentMap>> r =
+      ConcurrentMap::Recover(PersistentOptions(dir));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ConcurrentMap& map = **r;
+  EXPECT_GT(LeavesWithHeadOffset(&map), 1u);
+  expect_model(&map);
+  // Go on from the recovered offsets: more head removals, then inserts
+  // at both ends of the offset leaves.
+  erase_leaf_heads(&map);
+  for (Key k : {Key{1}, Key{2}, Key{401}, Key{402}}) {
+    ASSERT_TRUE(map.Insert(k, k * 3).ok()) << k;
+    model[k] = k * 3;
+  }
+  expect_model(&map);
 }
 
 }  // namespace
